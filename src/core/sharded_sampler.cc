@@ -1,7 +1,6 @@
 #include "core/sharded_sampler.h"
 
 #include "random/rng.h"
-#include "util/check.h"
 
 namespace dwrs {
 
@@ -28,10 +27,9 @@ WsworConfig ShardWsworConfig(const WsworConfig& config,
 }
 
 ShardedWswor::ShardedWswor(const WsworConfig& config, int num_shards)
-    : config_(config),
-      runtime_(config.num_sites, num_shards, config.delivery_delay,
+    : runtime_(config.num_sites, num_shards, config.delivery_delay,
                config.jitter_seed) {
-  endpoints_ = AttachShardedWswor(config_, runtime_);
+  endpoints_ = AttachShardedWswor(config, runtime_);
 }
 
 void ShardedWswor::Observe(int site, const Item& item) {
@@ -40,11 +38,7 @@ void ShardedWswor::Observe(int site, const Item& item) {
 
 void ShardedWswor::Run(const Workload& workload,
                        const std::function<void(uint64_t)>& on_step) {
-  DWRS_CHECK_EQ(workload.num_sites(), config_.num_sites);
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
+  runtime_.Run(workload, on_step);
 }
 
 std::vector<KeyedItem> ShardedWswor::Sample() const {

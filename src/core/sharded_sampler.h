@@ -119,7 +119,6 @@ class ShardedWswor {
   }
 
  private:
-  WsworConfig config_;
   sim::ShardedRuntime runtime_;
   ShardedWsworEndpoints endpoints_;
 };

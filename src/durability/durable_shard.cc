@@ -6,12 +6,11 @@
 #include <string>
 
 #include "obs/trace.h"
+#include "query/capture.h"
 #include "util/check.h"
 
 namespace dwrs::durability {
 namespace {
-
-constexpr int kMaxReconcileRounds = 8;
 
 uint64_t Bits(double x) {
   uint64_t bits;
@@ -57,16 +56,19 @@ DurableCoordinator::DurableCoordinator(faults::CoordinatorSession* session,
                                        bool log_decisions)
     : session_(session),
       coordinator_(coordinator),
-      log_decisions_(log_decisions) {}
-
-void DurableCoordinator::OnSampleDelta(
-    const WsworCoordinator::SampleDelta& delta) {
-  WalRecord record;
-  record.type = WalRecordType::kSampleDelta;
-  record.added = delta.added;
-  record.evicted_valid = delta.evicted_valid;
-  record.evicted_id = delta.evicted_id;
-  pending_deltas_.push_back(record);
+      log_decisions_(log_decisions) {
+  if (!log_decisions_) return;
+  // Sample-membership changes fire inside OnMessage, on the thread that
+  // owns the coordinator; OnMessage emits them after the arrival.
+  coordinator_->set_sample_delta_hook(
+      [this](const WsworCoordinator::SampleDelta& delta) {
+        WalRecord record;
+        record.type = WalRecordType::kSampleDelta;
+        record.added = delta.added;
+        record.evicted_valid = delta.evicted_valid;
+        record.evicted_id = delta.evicted_id;
+        pending_deltas_.push_back(record);
+      });
 }
 
 void DurableCoordinator::EmitDecision(const WalRecord& record) {
@@ -122,8 +124,7 @@ DurableWswor::DurableWswor(const WsworConfig& config,
       options_(options),
       backend_(backend),
       trace_shard_(trace_shard),
-      schedule_(fault_config),
-      num_sites_(config.num_sites) {
+      schedule_(fault_config) {
   DWRS_CHECK(!options_.dir.empty()) << " durability dir is required";
   DWRS_CHECK_GT(options_.commit_interval_steps, 0u);
   DWRS_CHECK_GT(options_.checkpoint_interval_steps, 0u);
@@ -135,97 +136,31 @@ DurableWswor::DurableWswor(const WsworConfig& config,
 DurableWswor::~DurableWswor() { TearDownStack(/*abandon_pending=*/false); }
 
 void DurableWswor::BuildStack() {
-  if (backend_ == faults::Backend::kSim) {
-    runtime_ = std::make_unique<sim::Runtime>(num_sites_);
-  } else {
-    engine::EngineConfig engine_config;
-    engine_config.num_sites = num_sites_;
-    engine_config.step_synchronous = true;
-    engine_config.trace_shard = trace_shard_;
-    engine_ = std::make_unique<engine::Engine>(engine_config);
-  }
-  sim::Transport* inner =
-      engine_ ? &engine_->transport()
-              : static_cast<sim::Transport*>(&runtime_->network());
-  faulty_ = std::make_unique<faults::FaultyTransport>(inner, &schedule_,
-                                                      num_sites_);
-  faulty_->set_trace_shard(trace_shard_);
-  tracing_ =
-      std::make_unique<obs::TracingTransport>(faulty_.get(), trace_shard_);
-  // The coordinator stack sends through the switch so recovery can aim
-  // replay-generated traffic at a capture sink; live it passes straight
-  // through to the tracing transport, exactly the FaultyRun wiring.
-  switchable_ = std::make_unique<SwitchableTransport>(tracing_.get());
-
-  // Seed derivation mirrors FaultyRun (and the reliable facades): one
-  // master draw per site in index order, then the coordinator's — a
-  // durable run with no kills is bit-identical to a FaultyRun.
-  Rng master(config_.seed);
-  std::vector<uint64_t> site_seeds;
-  site_seeds.reserve(static_cast<size_t>(num_sites_));
-  for (int i = 0; i < num_sites_; ++i) site_seeds.push_back(master.NextU64());
-  coordinator_ = std::make_unique<WsworCoordinator>(
-      config_, switchable_.get(), master.NextU64());
-  coordinator_->set_trace_shard(trace_shard_);
-  coordinator_session_ = std::make_unique<faults::CoordinatorSession>(
-      num_sites_, coordinator_.get(), switchable_.get(),
-      [this] { return coordinator_->ResyncMessages(); });
-  coordinator_session_->set_trace_shard(trace_shard_);
-  durable_coordinator_ = std::make_unique<DurableCoordinator>(
-      coordinator_session_.get(), coordinator_.get(), options_.log_decisions);
-  if (options_.log_decisions) {
-    coordinator_->set_sample_delta_hook(
-        [dc = durable_coordinator_.get()](
-            const WsworCoordinator::SampleDelta& delta) {
-          dc->OnSampleDelta(delta);
-        });
-  }
-
-  const WsworConfig config = config_;
-  for (int i = 0; i < num_sites_; ++i) {
-    site_sessions_.push_back(std::make_unique<faults::SiteSession>(
-        i, tracing_.get(), &schedule_,
-        [config, i, seed = site_seeds[static_cast<size_t>(i)]](
-            sim::Transport* upper, uint32_t epoch) {
-          return std::make_unique<WsworSite>(config, i, upper,
-                                             faults::RestartSeed(seed, epoch));
-        }));
-    site_sessions_.back()->set_trace_shard(trace_shard_);
-    if (runtime_) {
-      runtime_->AttachSite(i, site_sessions_.back().get());
-    } else {
-      engine_->AttachSite(i, site_sessions_.back().get());
-    }
-  }
-  if (runtime_) {
-    runtime_->AttachCoordinator(durable_coordinator_.get());
-  } else {
-    engine_->AttachCoordinator(durable_coordinator_.get());
-  }
+  // The fault harness's stack, seeds included — a durable run with no
+  // kills is bit-identical to a FaultyRun — with the write-ahead
+  // decorator as the backend's coordinator.
+  stack_ = std::make_unique<faults::FaultyWswor>(
+      config_, schedule_.config(), backend_, trace_shard_,
+      [this](WsworCoordinator& coordinator,
+             faults::CoordinatorSession& session) {
+        durable_coordinator_ = std::make_unique<DurableCoordinator>(
+            &session, &coordinator, options_.log_decisions);
+        return durable_coordinator_.get();
+      });
 }
 
 void DurableWswor::TearDownStack(bool abandon_pending) {
   if (wal_) {
     if (abandon_pending) wal_->AbandonPending();
-    wal_->Close();
-    FoldInto(&closed_segment_stats_, wal_->stats());
-    wal_.reset();
+    CloseSegment();
   }
-  // The engine joins its workers before any endpoint dies (teardown
-  // contract in engine/engine.h).
-  if (engine_) engine_->Shutdown();
+  // The stack joins its backend's threads before the decorator they
+  // call dies.
+  stack_.reset();
   if (durable_coordinator_) {
     wal_records_logged_ += durable_coordinator_->records_logged();
   }
-  site_sessions_.clear();
   durable_coordinator_.reset();
-  coordinator_session_.reset();
-  coordinator_.reset();
-  switchable_.reset();
-  tracing_.reset();
-  faulty_.reset();
-  engine_.reset();
-  runtime_.reset();
 }
 
 void DurableWswor::OpenSegment(uint64_t seq, bool truncate) {
@@ -237,8 +172,13 @@ void DurableWswor::OpenSegment(uint64_t seq, bool truncate) {
   wal_ = std::make_unique<WalWriter>(WalSegmentPath(options_.dir, seq),
                                      wal_options, truncate);
   DWRS_CHECK(wal_->ok()) << " wal open failed: " << wal_->error();
-  wal_seq_ = seq;
   durable_coordinator_->set_wal(wal_.get());
+}
+
+void DurableWswor::CloseSegment() {
+  wal_->Close();
+  FoldInto(&closed_segment_stats_, wal_->stats());
+  wal_.reset();
 }
 
 void DurableWswor::AppendHarnessRecord(const WalRecord& record) {
@@ -253,51 +193,50 @@ ShardCheckpoint DurableWswor::CaptureCheckpoint(uint64_t step) const {
       wal_records_logged_ + durable_coordinator_->records_logged();
 
   // The query-layer view doubles as the checkpoint payload core.
+  checkpoint.snapshot =
+      query::CaptureSessionSnapshot(stack_->coordinator_session());
   checkpoint.snapshot.publish_seq = checkpoint_seq_ + 1;
-  checkpoint.snapshot.state_version = coordinator_->StateVersion();
   checkpoint.snapshot.steps = step;
-  checkpoint.snapshot.session_epoch = coordinator_session_->MaxSiteEpoch();
-  checkpoint.snapshot.stale = !coordinator_session_->AllGapsResolved();
-  checkpoint.snapshot.sample = coordinator_->ShardSample();
-  checkpoint.snapshot.threshold = coordinator_->Threshold();
-  if (runtime_) checkpoint.snapshot.messages = runtime_->stats();
+  checkpoint.snapshot.messages = stack_->message_stats();
 
-  checkpoint.coordinator = coordinator_->SaveState();
-  checkpoint.session = coordinator_session_->SaveState();
-  checkpoint.site_valid.resize(static_cast<size_t>(num_sites_), 0);
-  for (int i = 0; i < num_sites_; ++i) {
-    faults::SiteSession* session = site_sessions_[static_cast<size_t>(i)].get();
-    checkpoint.site_sessions.push_back(session->SaveState());
-    if (session->endpoint() != nullptr) {
+  checkpoint.coordinator = stack_->coordinator().SaveState();
+  checkpoint.session = stack_->coordinator_session().SaveState();
+  const int num_sites = stack_->num_sites();
+  checkpoint.site_valid.resize(static_cast<size_t>(num_sites), 0);
+  for (int i = 0; i < num_sites; ++i) {
+    faults::SiteSession& session = stack_->site_session(i);
+    checkpoint.site_sessions.push_back(session.SaveState());
+    if (session.endpoint() != nullptr) {
       checkpoint.site_valid[static_cast<size_t>(i)] = 1;
       checkpoint.sites.push_back(
-          static_cast<WsworSite*>(session->endpoint())->SaveState());
+          static_cast<WsworSite*>(session.endpoint())->SaveState());
     }
   }
-  checkpoint.transport = faulty_->SaveState();
+  checkpoint.transport = stack_->faulty_transport().SaveState();
   checkpoint.kills_done = kills_done_;
   checkpoint.last_kill_step = last_kill_step_;
   return checkpoint;
 }
 
 void DurableWswor::RestoreFromCheckpoint(const ShardCheckpoint& c) {
-  DWRS_CHECK_EQ(c.site_sessions.size(), static_cast<size_t>(num_sites_))
+  const int num_sites = stack_->num_sites();
+  DWRS_CHECK_EQ(c.site_sessions.size(), static_cast<size_t>(num_sites))
       << " checkpoint site count mismatch";
-  coordinator_->RestoreState(c.coordinator);
-  coordinator_session_->RestoreState(c.session);
+  stack_->coordinator().RestoreState(c.coordinator);
+  stack_->coordinator_session().RestoreState(c.session);
   size_t valid = 0;
-  for (int i = 0; i < num_sites_; ++i) {
-    faults::SiteSession* session = site_sessions_[static_cast<size_t>(i)].get();
-    session->RestoreState(c.site_sessions[static_cast<size_t>(i)]);
+  for (int i = 0; i < num_sites; ++i) {
+    faults::SiteSession& session = stack_->site_session(i);
+    session.RestoreState(c.site_sessions[static_cast<size_t>(i)]);
     if (c.site_valid[static_cast<size_t>(i)]) {
-      DWRS_CHECK(session->endpoint() != nullptr);
+      DWRS_CHECK(session.endpoint() != nullptr);
       DWRS_CHECK_LT(valid, c.sites.size());
-      static_cast<WsworSite*>(session->endpoint())
+      static_cast<WsworSite*>(session.endpoint())
           ->RestoreState(c.sites[valid++]);
     }
   }
   DWRS_CHECK_EQ(valid, c.sites.size());
-  faulty_->RestoreState(c.transport);
+  stack_->faulty_transport().RestoreState(c.transport);
 }
 
 void DurableWswor::WriteCheckpoint(uint64_t step) {
@@ -311,9 +250,7 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
     mark.step = checkpoint.checkpoint_seq;
     AppendHarnessRecord(mark);
     DWRS_CHECK(wal_->Commit()) << " wal commit failed: " << wal_->error();
-    wal_->Close();
-    FoldInto(&closed_segment_stats_, wal_->stats());
-    wal_.reset();
+    CloseSegment();
   }
   std::string error;
   DWRS_CHECK(WriteCheckpointFile(options_.dir, checkpoint, &error))
@@ -411,7 +348,7 @@ bool DurableWswor::Recover() {
   // `regenerated` for the cross-check below.
   CaptureTransport sink;
   std::vector<WalRecord> regenerated;
-  switchable_->set_target(&sink);
+  stack_->coordinator_transport().set_target(&sink);
   durable_coordinator_->set_replay_capture(&regenerated);
   std::vector<const WalRecord*> logged_decisions;
   catch_up_broadcasts_.clear();
@@ -431,8 +368,7 @@ bool DurableWswor::Recover() {
         // the catch-up re-feed re-injects them at the same boundary.
         std::vector<sim::Payload> broadcasts = sink.TakeBroadcasts();
         if (!broadcasts.empty()) {
-          catch_up_broadcasts_.emplace_back(record.step,
-                                            std::move(broadcasts));
+          catch_up_broadcasts_.emplace(record.step, std::move(broadcasts));
         }
         break;
       }
@@ -441,7 +377,7 @@ bool DurableWswor::Recover() {
     }
   }
   durable_coordinator_->set_replay_capture(nullptr);
-  switchable_->set_target(tracing_.get());
+  stack_->coordinator_transport().set_target(nullptr);
   last_recovery_.wal_records_replayed = static_cast<uint64_t>(cut);
   wal_records_replayed_ += static_cast<uint64_t>(cut);
 
@@ -494,17 +430,10 @@ bool DurableWswor::Recover() {
 
 void DurableWswor::Run(const Workload& workload,
                        const std::function<void(uint64_t)>& on_step) {
-  DWRS_CHECK_EQ(workload.num_sites(), num_sites_);
+  DWRS_CHECK_EQ(workload.num_sites(), stack_->num_sites());
   uint64_t step = feed_step_;
-  size_t broadcast_cursor = 0;  // next pending catch-up broadcast batch
   while (step < workload.size()) {
-    const WorkloadEvent& event = workload.event(step);
-    if (runtime_) {
-      runtime_->Deliver(event);
-    } else {
-      engine_->Push(event.site, event.item);
-      engine_->Flush();
-    }
+    stack_->Step(workload.event(step));
     ++step;
     feed_step_ = step;
     if (catching_up_) {
@@ -513,25 +442,18 @@ void DurableWswor::Run(const Workload& workload,
       // re-acks) the re-sent arrivals; what it cannot regenerate are
       // the coordinator-initiated broadcasts, so re-inject the captured
       // ones at their original step boundary.
-      while (broadcast_cursor < catch_up_broadcasts_.size() &&
-             catch_up_broadcasts_[broadcast_cursor].first < step) {
-        ++broadcast_cursor;
-      }
-      if (broadcast_cursor < catch_up_broadcasts_.size() &&
-          catch_up_broadcasts_[broadcast_cursor].first == step) {
-        for (const sim::Payload& msg :
-             catch_up_broadcasts_[broadcast_cursor].second) {
-          switchable_->Broadcast(msg);
+      const auto broadcasts = catch_up_broadcasts_.find(step);
+      if (broadcasts != catch_up_broadcasts_.end()) {
+        for (const sim::Payload& msg : broadcasts->second) {
+          stack_->coordinator_transport().Broadcast(msg);
         }
-        ++broadcast_cursor;
-        FlushBackend();
+        stack_->Flush();
       }
       if (step == catch_up_until_) {
         // The whole stack is a pure D-state again: make it durable and
         // resume normal logging on a fresh segment.
         catching_up_ = false;
         catch_up_broadcasts_.clear();
-        broadcast_cursor = 0;
         WriteCheckpoint(step);
       }
     } else {
@@ -560,69 +482,19 @@ void DurableWswor::Run(const Workload& workload,
       TearDownStack(/*abandon_pending=*/true);
       Recover();
       step = feed_step_;
-      broadcast_cursor = 0;
     }
   }
   DWRS_CHECK(!catching_up_)
       << " workload ended inside the recovery catch-up window (the re-fed"
          " stream must cover every durably logged step)";
-  Reconcile();
+  stack_->Reconcile();
   // Final checkpoint (post-reconcile): commits the reconcile-round
   // records and leaves the directory resumable at end of stream.
   WriteCheckpoint(feed_step_);
 }
 
-void DurableWswor::FlushBackend() {
-  if (runtime_) {
-    runtime_->Flush();
-  } else {
-    engine_->Flush();
-  }
-}
-
-void DurableWswor::Reconcile() {
-  faulty_->set_enabled(false);
-  for (int round = 0; round < kMaxReconcileRounds; ++round) {
-    faulty_->FlushDelayed();
-    FlushBackend();
-    bool drained = true;
-    for (const auto& session : site_sessions_) {
-      if (session->unacked_size() != 0) drained = false;
-    }
-    if (drained) break;
-    for (const auto& session : site_sessions_) {
-      session->RetransmitAllUnacked();
-    }
-    FlushBackend();
-  }
-  for (const auto& session : site_sessions_) {
-    DWRS_CHECK_EQ(session->unacked_size(), 0u)
-        << " reconcile failed to drain site retransmit buffers";
-  }
-}
-
 faults::RunReport DurableWswor::report() const {
-  faults::RunReport out;
-  out.transcript_hash = coordinator_session_->transcript_hash();
-  out.delivered = coordinator_session_->delivered();
-  out.crash_detections = coordinator_session_->crash_detections();
-  out.resyncs_sent = coordinator_session_->resyncs_sent();
-  out.duplicates_dropped = coordinator_session_->duplicates_dropped();
-  out.gaps_detected = coordinator_session_->gaps_detected();
-  out.nacks_sent = coordinator_session_->nacks_sent();
-  out.stale_epoch_dropped = coordinator_session_->stale_epoch_dropped();
-  for (const auto& session : site_sessions_) {
-    out.crashes += session->crashes();
-    out.lost_unacked += session->lost_unacked();
-    out.items_lost += session->items_lost();
-    out.retransmits_sent += session->retransmits_sent();
-    out.messages_dropped_down += session->messages_dropped_down();
-  }
-  const faults::FaultCounters& fc = faulty_->counters();
-  out.faults_forwarded = fc.forwarded.load(std::memory_order_relaxed);
-  out.faults_dropped = fc.dropped.load(std::memory_order_relaxed);
-  out.faults_duplicated = fc.duplicated.load(std::memory_order_relaxed);
-  out.faults_delayed = fc.delayed.load(std::memory_order_relaxed);
+  faults::RunReport out = stack_->report();
   out.process_kills = kills_done_;
   out.recoveries = recoveries_;
   out.wal_records_logged =
@@ -630,27 +502,20 @@ faults::RunReport DurableWswor::report() const {
   out.wal_records_replayed = wal_records_replayed_;
   out.checkpoints_written = checkpoints_written_;
   out.recovery_consistent = recovery_consistent_;
-  out.clean = out.lost_unacked == 0 && recovery_consistent_ &&
-              coordinator_session_->AllGapsResolved();
+  out.clean = out.clean && recovery_consistent_;
   return out;
 }
 
 ProbeState DurableWswor::Probe() const {
   ProbeState probe;
-  probe.state_version = coordinator_->StateVersion();
-  probe.delivered = coordinator_session_->delivered();
-  probe.transcript_hash = coordinator_session_->transcript_hash();
-  probe.threshold_bits = Bits(coordinator_->Threshold());
-  for (const KeyedItem& ki : coordinator_->Sample()) {
+  probe.state_version = coordinator().StateVersion();
+  probe.delivered = coordinator_session().delivered();
+  probe.transcript_hash = coordinator_session().transcript_hash();
+  probe.threshold_bits = Bits(coordinator().Threshold());
+  for (const KeyedItem& ki : coordinator().Sample()) {
     probe.sample.emplace_back(ki.item.id, Bits(ki.key));
   }
   return probe;
-}
-
-std::vector<uint64_t> DurableWswor::SampleIds() const {
-  std::vector<uint64_t> ids;
-  for (const KeyedItem& ki : coordinator_->Sample()) ids.push_back(ki.item.id);
-  return ids;
 }
 
 WalStats DurableWswor::wal_stats() const {
@@ -665,84 +530,17 @@ ShardedDurableWswor::ShardedDurableWswor(
     const WsworConfig& config,
     const std::vector<faults::FaultConfig>& shard_faults,
     faults::Backend backend, const DurabilityOptions& options)
-    : topology_(config.num_sites, static_cast<int>(shard_faults.size())) {
-  DWRS_CHECK(!options.dir.empty()) << " durability dir is required";
-  DWRS_CHECK(EnsureDir(options.dir))
-      << " cannot create durability dir " << options.dir;
-  shards_.reserve(shard_faults.size());
-  for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-    WsworConfig shard_config = config;
-    shard_config.num_sites = topology_.SiteCount(shard);
-    shard_config.seed = ShardSeed(config.seed, shard);
-    DurabilityOptions shard_options = options;
-    shard_options.dir = options.dir + "/shard-" + std::to_string(shard);
-    shards_.push_back(std::make_unique<DurableWswor>(
-        shard_config, shard_faults[static_cast<size_t>(shard)], backend,
-        shard_options, /*trace_shard=*/shard));
-  }
-}
-
-void ShardedDurableWswor::Run(const Workload& workload) {
-  const std::vector<Workload> splits = SplitByShard(workload, topology_);
-  for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-    shards_[static_cast<size_t>(shard)]->Run(
-        splits[static_cast<size_t>(shard)]);
-  }
-}
-
-faults::RunReport ShardedDurableWswor::report() const {
-  faults::RunReport out;
-  out.transcript_hash = 1469598103934665603ull;  // FNV offset basis
-  out.clean = true;
-  for (const auto& shard : shards_) {
-    const faults::RunReport r = shard->report();
-    for (int b = 0; b < 64; b += 8) {
-      out.transcript_hash ^= (r.transcript_hash >> b) & 0xffull;
-      out.transcript_hash *= 1099511628211ull;  // FNV prime
-    }
-    out.delivered += r.delivered;
-    out.crashes += r.crashes;
-    out.crash_detections += r.crash_detections;
-    out.resyncs_sent += r.resyncs_sent;
-    out.lost_unacked += r.lost_unacked;
-    out.items_lost += r.items_lost;
-    out.duplicates_dropped += r.duplicates_dropped;
-    out.gaps_detected += r.gaps_detected;
-    out.nacks_sent += r.nacks_sent;
-    out.retransmits_sent += r.retransmits_sent;
-    out.stale_epoch_dropped += r.stale_epoch_dropped;
-    out.messages_dropped_down += r.messages_dropped_down;
-    out.faults_forwarded += r.faults_forwarded;
-    out.faults_dropped += r.faults_dropped;
-    out.faults_duplicated += r.faults_duplicated;
-    out.faults_delayed += r.faults_delayed;
-    out.process_kills += r.process_kills;
-    out.recoveries += r.recoveries;
-    out.wal_records_logged += r.wal_records_logged;
-    out.wal_records_replayed += r.wal_records_replayed;
-    out.checkpoints_written += r.checkpoints_written;
-    out.recovery_consistent = out.recovery_consistent && r.recovery_consistent;
-    out.clean = out.clean && r.clean;
-  }
-  return out;
-}
-
-MergeableSample ShardedDurableWswor::MergedSample() const {
-  std::vector<MergeableSample> summaries;
-  summaries.reserve(shards_.size());
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    summaries.push_back(
-        sim::CheckedShardSummary(&shards_[shard]->coordinator(), shard));
-  }
-  return MergeShardSamples(summaries);
-}
-
-std::vector<uint64_t> ShardedDurableWswor::MergedSampleIds() const {
-  std::vector<uint64_t> ids;
-  for (const KeyedItem& ki : MergedSample().TopEntries()) {
-    ids.push_back(ki.item.id);
-  }
-  return ids;
-}
+    : Sharded(config, shard_faults,
+              [&](const WsworConfig& shard_config,
+                  const faults::FaultConfig& faults, int shard) {
+                DWRS_CHECK(!options.dir.empty() && EnsureDir(options.dir))
+                    << " cannot create durability dir " << options.dir;
+                DurabilityOptions shard_options = options;
+                shard_options.dir =
+                    options.dir + "/shard-" + std::to_string(shard);
+                return std::make_unique<DurableWswor>(
+                    shard_config, faults, backend, shard_options,
+                    /*trace_shard=*/shard);
+              }) {}
 
 }  // namespace dwrs::durability

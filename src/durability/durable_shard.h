@@ -1,10 +1,12 @@
-// Durable shard harness: the fault harness's protocol stack (endpoints
-// in reliability sessions over a FaultyTransport over either backend,
-// faults/harness.h) extended with a write-ahead log and periodic
-// checkpoints, so the whole shard process can be killed (kill -9
-// semantics: every volatile byte gone, including un-committed WAL
-// buffers) and recovered from disk to a state transcript-identical to a
-// never-crashed shard at the same durable quiesce point.
+// Durable shard harness: the fault harness's reliable stack
+// (faults::FaultyRun — endpoints in reliability sessions over a
+// FaultyTransport over either backend) plus what durability adds: a
+// write-ahead coordinator decorator in front of the session, WAL and
+// checkpoint I/O, recovery, and kill driving. The whole shard process
+// can be killed (kill -9 semantics: every volatile byte gone, including
+// un-committed WAL buffers) and recovered from disk to a state
+// transcript-identical to a never-crashed shard at the same durable
+// quiesce point.
 //
 // WAL + rotation lifecycle (one directory per shard):
 //
@@ -63,6 +65,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -74,62 +77,32 @@
 #include "durability/checkpoint.h"
 #include "durability/records.h"
 #include "durability/wal.h"
-#include "engine/engine.h"
+#include "faults/fault_schedule.h"
 #include "faults/harness.h"
-#include "obs/tracing_transport.h"
-#include "sampling/mergeable_sample.h"
-#include "sim/runtime.h"
-#include "stream/sharding.h"
+#include "faults/session.h"
 #include "stream/workload.h"
 
 namespace dwrs::durability {
 
-// Transport indirection that lets the recovery path re-aim the
-// coordinator stack's sends without the stack knowing: live, the target
-// is the tracing transport; during replay, a capture sink (the
-// re-generated acks/nacks/resyncs already happened in the original
-// timeline — re-emitting them would double-deliver).
-class SwitchableTransport : public sim::Transport {
- public:
-  explicit SwitchableTransport(sim::Transport* target) : target_(target) {}
-
-  void set_target(sim::Transport* target) { target_ = target; }
-
-  void SendToCoordinator(int site, const sim::Payload& msg) override {
-    target_->SendToCoordinator(site, msg);
-  }
-  void SendToSite(int site, const sim::Payload& msg) override {
-    target_->SendToSite(site, msg);
-  }
-  void Broadcast(const sim::Payload& msg) override { target_->Broadcast(msg); }
-  uint64_t step() const override { return target_->step(); }
-
- private:
-  sim::Transport* target_;
-};
-
-// Replay-time send sink: counts and swallows session traffic (acks and
-// nacks regenerate naturally when the re-feed's duplicates hit the
-// session again), but KEEPS the coordinator-initiated broadcasts — the
-// sites, restored at the checkpoint step, still need the threshold and
+// Replay-time send sink: swallows session traffic (acks and nacks
+// regenerate naturally when the re-feed's duplicates hit the session
+// again), but KEEPS the coordinator-initiated broadcasts — the sites,
+// restored at the checkpoint step, still need the threshold and
 // saturation announcements of the catch-up window delivered at their
 // original step boundaries (durable_shard.cc, Run).
 class CaptureTransport : public sim::Transport {
  public:
-  void SendToCoordinator(int, const sim::Payload&) override { ++captured_; }
-  void SendToSite(int, const sim::Payload&) override { ++captured_; }
+  void SendToCoordinator(int, const sim::Payload&) override {}
+  void SendToSite(int, const sim::Payload&) override {}
   void Broadcast(const sim::Payload& msg) override {
-    ++captured_;
     broadcasts_.push_back(msg);
   }
   uint64_t step() const override { return 0; }
-  uint64_t captured() const { return captured_; }
 
   // Broadcasts captured since the last take, in send order.
   std::vector<sim::Payload> TakeBroadcasts() { return std::move(broadcasts_); }
 
  private:
-  uint64_t captured_ = 0;
   std::vector<sim::Payload> broadcasts_;
 };
 
@@ -138,7 +111,9 @@ class CaptureTransport : public sim::Transport {
 // arrival stream. Live, it write-ahead-logs every arrival (and, after
 // processing, the decision records the arrival caused); during replay
 // it re-feeds logged arrivals and captures the regenerated decisions
-// for the cross-check.
+// for the cross-check. With `log_decisions` it installs itself as the
+// coordinator's sample-delta hook, so it must outlive the coordinator's
+// last message.
 class DurableCoordinator : public sim::CoordinatorNode {
  public:
   DurableCoordinator(faults::CoordinatorSession* session,
@@ -153,16 +128,6 @@ class DurableCoordinator : public sim::CoordinatorNode {
   }
 
   void OnMessage(int site, const sim::Payload& msg) override;
-
-  // Sample-membership hook target (the harness wires it to
-  // WsworCoordinator::set_sample_delta_hook). Fires inside OnMessage, on
-  // the thread that owns the coordinator.
-  void OnSampleDelta(const WsworCoordinator::SampleDelta& delta);
-
-  MergeableSample ShardSample() const override {
-    return session_->ShardSample();
-  }
-  uint64_t StateVersion() const override { return session_->StateVersion(); }
 
   uint64_t records_logged() const { return records_logged_; }
 
@@ -225,10 +190,13 @@ struct ProbeState {
   friend bool operator==(const ProbeState& a, const ProbeState& b) = default;
 };
 
-// One durable shard: the full faulty stack + WAL + checkpoints +
-// in-process kill/recover driving.
+// One durable shard: the reliable stack (a faults::FaultyWswor, rebuilt
+// on every recovery) + the DurableCoordinator in front of its session +
+// WAL + checkpoints + in-process kill/recover driving.
 class DurableWswor {
  public:
+  using Config = WsworConfig;
+
   DurableWswor(const WsworConfig& config,
                const faults::FaultConfig& fault_config,
                faults::Backend backend, const DurabilityOptions& options,
@@ -254,11 +222,11 @@ class DurableWswor {
 
   faults::RunReport report() const;
   ProbeState Probe() const;
-  std::vector<uint64_t> SampleIds() const;
+  std::vector<uint64_t> SampleIds() const { return stack_->SampleIds(); }
 
-  const WsworCoordinator& coordinator() const { return *coordinator_; }
+  const WsworCoordinator& coordinator() const { return stack_->coordinator(); }
   const faults::CoordinatorSession& coordinator_session() const {
-    return *coordinator_session_;
+    return stack_->coordinator_session();
   }
   const RecoveryReport& last_recovery() const { return last_recovery_; }
   uint64_t process_kills() const { return kills_done_; }
@@ -272,14 +240,10 @@ class DurableWswor {
   // durable state was found. Leaves the stack live-wired and logging to
   // a fresh segment either way.
   bool Recover();
-  void ReplaySegment(const WalReadResult& segment,
-                     std::vector<WalRecord>* records,
-                     bool* tail_truncated) const;
   void WriteCheckpoint(uint64_t step);
   void OpenSegment(uint64_t seq, bool truncate);
+  void CloseSegment();
   void AppendHarnessRecord(const WalRecord& record);
-  void FlushBackend();
-  void Reconcile();
   ShardCheckpoint CaptureCheckpoint(uint64_t step) const;
   void RestoreFromCheckpoint(const ShardCheckpoint& c);
 
@@ -287,23 +251,16 @@ class DurableWswor {
   const DurabilityOptions options_;
   const faults::Backend backend_;
   const int trace_shard_;
-  faults::FaultSchedule schedule_;
-  int num_sites_;
+  // Kill oracle; its config also rebuilds the stack on every recovery.
+  const faults::FaultSchedule schedule_;
 
-  // The stack (rebuilt from scratch on every recovery).
-  std::unique_ptr<sim::Runtime> runtime_;
-  std::unique_ptr<engine::Engine> engine_;
-  std::unique_ptr<faults::FaultyTransport> faulty_;
-  std::unique_ptr<obs::TracingTransport> tracing_;
-  std::unique_ptr<SwitchableTransport> switchable_;
-  std::unique_ptr<WsworCoordinator> coordinator_;
-  std::unique_ptr<faults::CoordinatorSession> coordinator_session_;
+  // The stack (rebuilt from scratch on every recovery). Declared after
+  // the decorator it calls, so it is destroyed — backend joined — first.
   std::unique_ptr<DurableCoordinator> durable_coordinator_;
-  std::vector<std::unique_ptr<faults::SiteSession>> site_sessions_;
+  std::unique_ptr<faults::FaultyWswor> stack_;
 
   // Durability state (survives stack teardowns).
   std::unique_ptr<WalWriter> wal_;
-  uint64_t wal_seq_ = 0;            // current segment generation
   uint64_t checkpoint_seq_ = 0;     // last written checkpoint
   uint64_t feed_step_ = 0;          // B: events already fed durably
   uint64_t wal_records_logged_ = 0;
@@ -326,36 +283,19 @@ class DurableWswor {
   // pure D-state — is written when the feeder reaches D.
   bool catching_up_ = false;
   uint64_t catch_up_until_ = 0;
-  std::vector<std::pair<uint64_t, std::vector<sim::Payload>>>
-      catch_up_broadcasts_;  // (step, broadcasts), ascending by step
+  std::map<uint64_t, std::vector<sim::Payload>> catch_up_broadcasts_;
 };
 
-// Sharded composition: one DurableWswor per shard, each with its own
-// subdirectory (`<dir>/shard-<j>`), fault schedule and kill timeline;
-// the root merge combines the shard coordinators' summaries exactly as
-// the non-durable sharded harness does.
-class ShardedDurableWswor {
+// Sharded composition (faults::Sharded): one DurableWswor per shard,
+// each with its own subdirectory (`<dir>/shard-<j>`), fault schedule and
+// kill timeline; the root merge combines the shard coordinators'
+// summaries exactly as the non-durable sharded harness does.
+class ShardedDurableWswor : public faults::Sharded<DurableWswor> {
  public:
   ShardedDurableWswor(const WsworConfig& config,
                       const std::vector<faults::FaultConfig>& shard_faults,
                       faults::Backend backend,
                       const DurabilityOptions& options);
-
-  void Run(const Workload& workload);
-
-  faults::RunReport report() const;
-  MergeableSample MergedSample() const;
-  std::vector<uint64_t> MergedSampleIds() const;
-
-  DurableWswor& shard(int j) { return *shards_[static_cast<size_t>(j)]; }
-  const DurableWswor& shard(int j) const {
-    return *shards_[static_cast<size_t>(j)];
-  }
-  const ShardTopology& topology() const { return topology_; }
-
- private:
-  ShardTopology topology_;
-  std::vector<std::unique_ptr<DurableWswor>> shards_;
 };
 
 }  // namespace dwrs::durability

@@ -17,7 +17,9 @@
 //   engine::ShardedEngine     — sharded multi-coordinator topology with
 //   ShardedWswor                exact sample merge (MergeableSample)
 //   faults::FaultyRun         — deterministic fault injection + crash/
-//   faults::ShardedFaultyRun    loss-tolerant session layer (src/faults/)
+//                               loss-tolerant session layer (src/faults/)
+//   faults::Sharded           — the one sharded harness: a FaultyRun or
+//                               durability::DurableWswor per shard
 
 #ifndef DWRS_DWRS_H_
 #define DWRS_DWRS_H_

@@ -80,12 +80,7 @@ void ShardedEngine::Shutdown() {
 }
 
 MergeableSample ShardedEngine::MergedSample() const {
-  std::vector<MergeableSample> summaries;
-  summaries.reserve(coordinators_.size());
-  for (size_t shard = 0; shard < coordinators_.size(); ++shard) {
-    summaries.push_back(sim::CheckedShardSummary(coordinators_[shard], shard));
-  }
-  return MergeShardSamples(summaries);
+  return sim::MergeShardCoordinators(coordinators_);
 }
 
 sim::MessageStats ShardedEngine::AggregateMessageSnapshot() const {

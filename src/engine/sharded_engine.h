@@ -114,7 +114,7 @@ class ShardedEngine {
   const ShardedEngineConfig config_;
   ShardTopology topology_;
   std::vector<std::unique_ptr<Engine>> shards_;
-  std::vector<sim::CoordinatorNode*> coordinators_;
+  std::vector<const sim::CoordinatorNode*> coordinators_;
 };
 
 }  // namespace dwrs::engine

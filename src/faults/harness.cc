@@ -2,6 +2,24 @@
 
 namespace dwrs::faults {
 
+RunReport FoldShardReports(const std::vector<RunReport>& shards) {
+  RunReport out;
+  out.transcript_hash = 1469598103934665603ull;  // FNV offset basis
+  out.clean = true;
+  for (const RunReport& r : shards) {
+    for (int b = 0; b < 64; b += 8) {
+      out.transcript_hash ^= (r.transcript_hash >> b) & 0xffull;
+      out.transcript_hash *= 1099511628211ull;  // FNV prime
+    }
+    for (const RunReportCounter& counter : kRunReportCounters) {
+      out.*counter.field += r.*counter.field;
+    }
+    out.recovery_consistent = out.recovery_consistent && r.recovery_consistent;
+    out.clean = out.clean && r.clean;
+  }
+  return out;
+}
+
 std::vector<uint64_t> SurvivingItemIds(const Workload& workload,
                                        const FaultSchedule& schedule) {
   const size_t k = static_cast<size_t>(workload.num_sites());

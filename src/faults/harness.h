@@ -1,6 +1,9 @@
-// Fault harness: assembles a full protocol stack — endpoints wrapped in
-// reliability sessions, over a FaultyTransport, over either execution
-// backend — runs a workload through it, and reconciles at end of stream.
+// Fault harness: assembles the reliable protocol stack — endpoints
+// wrapped in reliability sessions, over a FaultyTransport, over either
+// execution backend — runs a workload through it, and reconciles at end
+// of stream. FaultyRun is the only place that stack is wired; the
+// durable harness (src/durability/) runs the same stack with its
+// write-ahead coordinator decorator in front of the session.
 //
 //   faults::FaultyRun<faults::WsworFaultTraits> run(config, fault_config,
 //                                                   faults::Backend::kSim);
@@ -39,6 +42,7 @@
 #include "obs/tracing_transport.h"
 #include "random/rng.h"
 #include "sampling/mergeable_sample.h"
+#include "sim/node.h"
 #include "sim/runtime.h"
 #include "stream/sharding.h"
 #include "stream/workload.h"
@@ -98,25 +102,51 @@ struct RunReport {
   bool clean = false;
 };
 
+// The summed RunReport counters, in schema order: the one field list
+// the sharded fold (FoldShardReports) and the metric export
+// (obs::AppendFaultReport) both walk.
+struct RunReportCounter {
+  const char* name;
+  uint64_t RunReport::*field;
+};
+inline constexpr RunReportCounter kRunReportCounters[] = {
+    {"delivered", &RunReport::delivered},
+    {"crashes", &RunReport::crashes},
+    {"crash_detections", &RunReport::crash_detections},
+    {"resyncs_sent", &RunReport::resyncs_sent},
+    {"lost_unacked", &RunReport::lost_unacked},
+    {"items_lost", &RunReport::items_lost},
+    {"duplicates_dropped", &RunReport::duplicates_dropped},
+    {"gaps_detected", &RunReport::gaps_detected},
+    {"nacks_sent", &RunReport::nacks_sent},
+    {"retransmits_sent", &RunReport::retransmits_sent},
+    {"stale_epoch_dropped", &RunReport::stale_epoch_dropped},
+    {"messages_dropped_down", &RunReport::messages_dropped_down},
+    {"faults_forwarded", &RunReport::faults_forwarded},
+    {"faults_dropped", &RunReport::faults_dropped},
+    {"faults_duplicated", &RunReport::faults_duplicated},
+    {"faults_delayed", &RunReport::faults_delayed},
+    {"process_kills", &RunReport::process_kills},
+    {"recoveries", &RunReport::recoveries},
+    {"wal_records_logged", &RunReport::wal_records_logged},
+    {"wal_records_replayed", &RunReport::wal_records_replayed},
+    {"checkpoints_written", &RunReport::checkpoints_written},
+};
+
+// A sharded run's report: counters add over the shards, `clean` and
+// `recovery_consistent` hold iff they hold in every shard, and
+// `transcript_hash` FNV-folds the shard hashes in shard order.
+RunReport FoldShardReports(const std::vector<RunReport>& shards);
+
 // --- per-protocol traits ----------------------------------------------
 
 struct WsworFaultTraits {
   using Config = WsworConfig;
+  using Site = WsworSite;
   using Coordinator = WsworCoordinator;
-  static int NumSites(const Config& config) { return config.num_sites; }
-  static uint64_t Seed(const Config& config) { return config.seed; }
-  static std::unique_ptr<sim::SiteNode> MakeSite(const Config& config,
-                                                 int site,
-                                                 sim::Transport* transport,
-                                                 uint64_t seed) {
-    return std::make_unique<WsworSite>(config, site, transport, seed);
-  }
   static std::unique_ptr<Coordinator> MakeCoordinator(
       const Config& config, sim::Transport* transport, Rng& master) {
     return std::make_unique<Coordinator>(config, transport, master.NextU64());
-  }
-  static std::vector<sim::Payload> Resync(const Coordinator& coordinator) {
-    return coordinator.ResyncMessages();
   }
   static std::vector<uint64_t> SampleIds(const Coordinator& coordinator) {
     std::vector<uint64_t> ids;
@@ -127,21 +157,11 @@ struct WsworFaultTraits {
 
 struct UsworFaultTraits {
   using Config = UsworConfig;
+  using Site = UsworSite;
   using Coordinator = UsworCoordinator;
-  static int NumSites(const Config& config) { return config.num_sites; }
-  static uint64_t Seed(const Config& config) { return config.seed; }
-  static std::unique_ptr<sim::SiteNode> MakeSite(const Config& config,
-                                                 int site,
-                                                 sim::Transport* transport,
-                                                 uint64_t seed) {
-    return std::make_unique<UsworSite>(config, site, transport, seed);
-  }
   static std::unique_ptr<Coordinator> MakeCoordinator(
       const Config& config, sim::Transport* transport, Rng& /*master*/) {
     return std::make_unique<Coordinator>(config, transport);
-  }
-  static std::vector<sim::Payload> Resync(const Coordinator& coordinator) {
-    return coordinator.ResyncMessages();
   }
   static std::vector<uint64_t> SampleIds(const Coordinator& coordinator) {
     std::vector<uint64_t> ids;
@@ -152,15 +172,8 @@ struct UsworFaultTraits {
 
 struct L1FaultTraits {
   using Config = L1TrackerConfig;
+  using Site = L1Site;
   using Coordinator = WsworCoordinator;
-  static int NumSites(const Config& config) { return config.num_sites; }
-  static uint64_t Seed(const Config& config) { return config.seed; }
-  static std::unique_ptr<sim::SiteNode> MakeSite(const Config& config,
-                                                 int site,
-                                                 sim::Transport* transport,
-                                                 uint64_t seed) {
-    return std::make_unique<L1Site>(config, site, transport, seed);
-  }
   static std::unique_ptr<Coordinator> MakeCoordinator(
       const Config& config, sim::Transport* transport, Rng& master) {
     // Same mapping L1Tracker itself uses; its delivery_delay field is a
@@ -169,9 +182,6 @@ struct L1FaultTraits {
     return std::make_unique<Coordinator>(L1CoordinatorConfig(config),
                                          transport, master.NextU64());
   }
-  static std::vector<sim::Payload> Resync(const Coordinator& coordinator) {
-    return coordinator.ResyncMessages();
-  }
   static std::vector<uint64_t> SampleIds(const Coordinator& coordinator) {
     return WsworFaultTraits::SampleIds(coordinator);
   }
@@ -179,17 +189,54 @@ struct L1FaultTraits {
 
 // --- the harness ------------------------------------------------------
 
+// The transport the coordinator stack (coordinator and session) sends
+// through. Live it passes every send straight to the stack's tracing
+// transport; durable recovery re-aims it at a capture sink while it
+// replays logged arrivals, because the acks, nacks and resyncs replay
+// regenerates already happened in the original timeline and re-emitting
+// them would double-deliver.
+class SwitchableTransport : public sim::Transport {
+ public:
+  explicit SwitchableTransport(sim::Transport* live)
+      : live_(live), target_(live) {}
+
+  // Aims every later send at `target`; nullptr restores the live path.
+  void set_target(sim::Transport* target) {
+    target_ = target != nullptr ? target : live_;
+  }
+
+  void SendToCoordinator(int site, const sim::Payload& msg) override {
+    target_->SendToCoordinator(site, msg);
+  }
+  void SendToSite(int site, const sim::Payload& msg) override {
+    target_->SendToSite(site, msg);
+  }
+  void Broadcast(const sim::Payload& msg) override { target_->Broadcast(msg); }
+  uint64_t step() const override { return target_->step(); }
+
+ private:
+  sim::Transport* const live_;
+  sim::Transport* target_;
+};
+
 template <typename Traits>
 class FaultyRun {
  public:
   using Config = typename Traits::Config;
   using Coordinator = typename Traits::Coordinator;
+  // Builds the node the backend hands coordinator-bound messages to, in
+  // front of the session (the durable harness's write-ahead decorator).
+  // The caller owns it and keeps it alive until this stack is destroyed.
+  using CoordinatorFront =
+      std::function<sim::CoordinatorNode*(Coordinator&, CoordinatorSession&)>;
 
   // `trace_shard` labels every flight-recorder event of this stack (the
   // sharded harness passes the shard index; unsharded runs default to 0).
+  // Without `make_front` the backend delivers to the session directly.
   FaultyRun(const Config& config, const FaultConfig& fault_config,
-            Backend backend, int trace_shard = 0)
-      : schedule_(fault_config), num_sites_(Traits::NumSites(config)) {
+            Backend backend, int trace_shard = 0,
+            const CoordinatorFront& make_front = nullptr)
+      : schedule_(fault_config), num_sites_(config.num_sites) {
     if (backend == Backend::kSim) {
       runtime_ = std::make_unique<sim::Runtime>(num_sites_);
     } else {
@@ -209,20 +256,23 @@ class FaultyRun {
     // layer's verdict.
     tracing_ =
         std::make_unique<obs::TracingTransport>(faulty_.get(), trace_shard);
+    coordinator_transport_ =
+        std::make_unique<SwitchableTransport>(tracing_.get());
 
     // Seed derivation mirrors the reliable facades exactly: one master
     // draw per site in index order, then the coordinator's.
-    Rng master(Traits::Seed(config));
+    Rng master(config.seed);
     std::vector<uint64_t> site_seeds;
     site_seeds.reserve(static_cast<size_t>(num_sites_));
     for (int i = 0; i < num_sites_; ++i) site_seeds.push_back(master.NextU64());
-    coordinator_ = Traits::MakeCoordinator(config, tracing_.get(), master);
+    coordinator_ =
+        Traits::MakeCoordinator(config, coordinator_transport_.get(), master);
     if constexpr (requires { coordinator_->set_trace_shard(trace_shard); }) {
       coordinator_->set_trace_shard(trace_shard);
     }
     coordinator_session_ = std::make_unique<CoordinatorSession>(
-        num_sites_, coordinator_.get(), tracing_.get(),
-        [this] { return Traits::Resync(*coordinator_); });
+        num_sites_, coordinator_.get(), coordinator_transport_.get(),
+        [this] { return coordinator_->ResyncMessages(); });
     coordinator_session_->set_trace_shard(trace_shard);
 
     for (int i = 0; i < num_sites_; ++i) {
@@ -230,8 +280,8 @@ class FaultyRun {
           i, tracing_.get(), &schedule_,
           [config, i, seed = site_seeds[static_cast<size_t>(i)]](
               sim::Transport* upper, uint32_t epoch) {
-            return Traits::MakeSite(config, i, upper,
-                                    RestartSeed(seed, epoch));
+            return std::make_unique<typename Traits::Site>(
+                config, i, upper, RestartSeed(seed, epoch));
           }));
       site_sessions_.back()->set_trace_shard(trace_shard);
       if (runtime_) {
@@ -240,10 +290,13 @@ class FaultyRun {
         engine_->AttachSite(i, site_sessions_.back().get());
       }
     }
+    sim::CoordinatorNode* front =
+        make_front ? make_front(*coordinator_, *coordinator_session_)
+                   : coordinator_session_.get();
     if (runtime_) {
-      runtime_->AttachCoordinator(coordinator_session_.get());
+      runtime_->AttachCoordinator(front);
     } else {
-      engine_->AttachCoordinator(coordinator_session_.get());
+      engine_->AttachCoordinator(front);
     }
   }
 
@@ -266,12 +319,32 @@ class FaultyRun {
   // compares across backends.
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr) {
-    if (runtime_) {
-      runtime_->Run(workload, on_step);
-    } else {
-      engine_->Run(workload, on_step);
+    DWRS_CHECK_EQ(workload.num_sites(), num_sites_);
+    for (uint64_t i = 0; i < workload.size(); ++i) {
+      Step(workload.event(i));
+      if (on_step) on_step(i + 1);
     }
     Reconcile();
+  }
+
+  // Feeds one stream event and returns at the quiesce point after it:
+  // the event's whole message exchange has been delivered.
+  void Step(const WorkloadEvent& event) {
+    if (runtime_) {
+      runtime_->Deliver(event);
+    } else {
+      engine_->Push(event.site, event.item);
+      engine_->Flush();
+    }
+  }
+
+  // Delivers every in-flight message and returns at a quiesce point.
+  void Flush() {
+    if (runtime_) {
+      runtime_->Flush();
+    } else {
+      engine_->Flush();
+    }
   }
 
   // End-of-stream reconcile under a healed network: release withheld
@@ -280,7 +353,7 @@ class FaultyRun {
     faulty_->set_enabled(false);
     for (int round = 0; round < kMaxReconcileRounds; ++round) {
       faulty_->FlushDelayed();
-      FlushBackend();
+      Flush();
       bool drained = true;
       for (const auto& session : site_sessions_) {
         if (session->unacked_size() != 0) drained = false;
@@ -289,7 +362,7 @@ class FaultyRun {
       for (const auto& session : site_sessions_) {
         session->RetransmitAllUnacked();
       }
-      FlushBackend();
+      Flush();
     }
     for (const auto& session : site_sessions_) {
       DWRS_CHECK_EQ(session->unacked_size(), 0u)
@@ -324,6 +397,11 @@ class FaultyRun {
     return out;
   }
 
+  // The backend's message accounting (exact at quiesce points).
+  sim::MessageStats message_stats() const {
+    return runtime_ ? runtime_->stats() : engine_->stats().MessageSnapshot();
+  }
+
   std::vector<uint64_t> SampleIds() const {
     return Traits::SampleIds(*coordinator_);
   }
@@ -338,16 +416,20 @@ class FaultyRun {
   const FaultyTransport& faulty_transport() const { return *faulty_; }
   int num_sites() const { return num_sites_; }
 
+  // Mutable views for the durable harness's checkpoint restore and
+  // recovery replay; quiesce points only.
+  Coordinator& coordinator() { return *coordinator_; }
+  CoordinatorSession& coordinator_session() { return *coordinator_session_; }
+  SiteSession& site_session(int site) {
+    return *site_sessions_[static_cast<size_t>(site)];
+  }
+  FaultyTransport& faulty_transport() { return *faulty_; }
+  SwitchableTransport& coordinator_transport() {
+    return *coordinator_transport_;
+  }
+
  private:
   static constexpr int kMaxReconcileRounds = 8;
-
-  void FlushBackend() {
-    if (runtime_) {
-      runtime_->Flush();
-    } else {
-      engine_->Flush();
-    }
-  }
 
   FaultSchedule schedule_;
   const int num_sites_;
@@ -355,6 +437,7 @@ class FaultyRun {
   std::unique_ptr<engine::Engine> engine_;
   std::unique_ptr<FaultyTransport> faulty_;
   std::unique_ptr<obs::TracingTransport> tracing_;
+  std::unique_ptr<SwitchableTransport> coordinator_transport_;
   std::unique_ptr<Coordinator> coordinator_;
   std::unique_ptr<CoordinatorSession> coordinator_session_;
   std::vector<std::unique_ptr<SiteSession>> site_sessions_;
@@ -364,40 +447,36 @@ using FaultyWswor = FaultyRun<WsworFaultTraits>;
 using FaultyUswor = FaultyRun<UsworFaultTraits>;
 using FaultyL1 = FaultyRun<L1FaultTraits>;
 
-// --- sharded harness --------------------------------------------------
+// --- sharded composition ----------------------------------------------
 //
-// One full reliability stack PER SHARD: every shard coordinator channel
-// gets its own FaultyTransport, CoordinatorSession, and site sessions,
-// so crash/loss semantics are per-shard — a crashed or lossy shard
-// degrades (and flags) only its own slice of the merged sample, and a
-// clean shard's slice stays exact regardless of its siblings. The global
-// workload is split by the shared ShardTopology (local site indices,
-// per-shard arrival order preserved); shard runs replay each other's
-// transcripts bit for bit whether executed sequentially or interleaved,
-// because shards share no state and every fault decision is a function
-// of per-shard counters only.
-template <typename Traits>
-class ShardedFaultyRun {
+// One full stack PER SHARD — a FaultyRun, or a durable stack
+// (durability::ShardedDurableWswor) — so crash/loss semantics are
+// per-shard: a crashed or lossy shard degrades (and flags) only its own
+// slice of the merged sample, and a clean shard's slice stays exact
+// regardless of its siblings. The global workload is split by the
+// shared ShardTopology (local site indices, per-shard arrival order
+// preserved); shard runs replay each other's transcripts bit for bit
+// whether executed sequentially or interleaved, because shards share no
+// state and every fault decision is a function of per-shard counters
+// only.
+template <typename Stack>
+class Sharded {
  public:
-  using Config = typename Traits::Config;
-  using Coordinator = typename Traits::Coordinator;
-
-  // `config.num_sites` is the global k; `shard_faults[j]` is shard j's
-  // fault schedule (one entry per shard — faults are per-shard state).
-  // Shard protocol seeds derive from the global seed via ShardSeed.
-  ShardedFaultyRun(const Config& config,
-                   const std::vector<FaultConfig>& shard_faults,
-                   Backend backend)
-      : topology_(Traits::NumSites(config),
-                  static_cast<int>(shard_faults.size())) {
+  // One shard per `shard_faults` entry (faults are per-shard state).
+  // Shard j's stack is make_shard(shard_config, shard_faults[j], j):
+  // `config` (whose num_sites is the global k) narrowed to shard j's
+  // block of sites and seeded with ShardSeed(config.seed, j).
+  template <typename Config, typename MakeShard>
+  Sharded(const Config& config, const std::vector<FaultConfig>& shard_faults,
+          const MakeShard& make_shard)
+      : topology_(config.num_sites, static_cast<int>(shard_faults.size())) {
     shards_.reserve(shard_faults.size());
     for (int shard = 0; shard < topology_.num_shards(); ++shard) {
       Config shard_config = config;
       shard_config.num_sites = topology_.SiteCount(shard);
-      shard_config.seed = ShardSeed(Traits::Seed(config), shard);
-      shards_.push_back(std::make_unique<FaultyRun<Traits>>(
-          shard_config, shard_faults[static_cast<size_t>(shard)], backend,
-          /*trace_shard=*/shard));
+      shard_config.seed = ShardSeed(config.seed, shard);
+      shards_.push_back(make_shard(
+          shard_config, shard_faults[static_cast<size_t>(shard)], shard));
     }
   }
 
@@ -405,54 +484,24 @@ class ShardedFaultyRun {
   // its own end of stream). Querying is legal afterwards.
   void Run(const Workload& workload) {
     const std::vector<Workload> splits = SplitByShard(workload, topology_);
-    for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-      shards_[static_cast<size_t>(shard)]->Run(
-          splits[static_cast<size_t>(shard)]);
-    }
+    for (size_t j = 0; j < shards_.size(); ++j) shards_[j]->Run(splits[j]);
   }
 
-  // Aggregated over shards; `clean` iff every shard is clean, and
-  // `transcript_hash` folds the per-shard hashes in shard order.
   RunReport report() const {
-    RunReport out;
-    out.transcript_hash = 1469598103934665603ull;  // FNV offset basis
-    out.clean = true;
-    for (const auto& shard : shards_) {
-      const RunReport r = shard->report();
-      for (int b = 0; b < 64; b += 8) {
-        out.transcript_hash ^= (r.transcript_hash >> b) & 0xffull;
-        out.transcript_hash *= 1099511628211ull;  // FNV prime
-      }
-      out.delivered += r.delivered;
-      out.crashes += r.crashes;
-      out.crash_detections += r.crash_detections;
-      out.resyncs_sent += r.resyncs_sent;
-      out.lost_unacked += r.lost_unacked;
-      out.items_lost += r.items_lost;
-      out.duplicates_dropped += r.duplicates_dropped;
-      out.gaps_detected += r.gaps_detected;
-      out.nacks_sent += r.nacks_sent;
-      out.retransmits_sent += r.retransmits_sent;
-      out.stale_epoch_dropped += r.stale_epoch_dropped;
-      out.messages_dropped_down += r.messages_dropped_down;
-      out.faults_forwarded += r.faults_forwarded;
-      out.faults_dropped += r.faults_dropped;
-      out.faults_duplicated += r.faults_duplicated;
-      out.faults_delayed += r.faults_delayed;
-      out.clean = out.clean && r.clean;
-    }
-    return out;
+    std::vector<RunReport> reports;
+    reports.reserve(shards_.size());
+    for (const auto& shard : shards_) reports.push_back(shard->report());
+    return FoldShardReports(reports);
   }
 
   // Root merge of the shard coordinators' summaries.
   MergeableSample MergedSample() const {
-    std::vector<MergeableSample> summaries;
-    summaries.reserve(shards_.size());
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      summaries.push_back(
-          sim::CheckedShardSummary(&shards_[shard]->coordinator(), shard));
+    std::vector<const sim::CoordinatorNode*> coordinators;
+    coordinators.reserve(shards_.size());
+    for (const auto& shard : shards_) {
+      coordinators.push_back(&shard->coordinator());
     }
-    return MergeShardSamples(summaries);
+    return sim::MergeShardCoordinators(coordinators);
   }
 
   std::vector<uint64_t> MergedSampleIds() const {
@@ -463,17 +512,29 @@ class ShardedFaultyRun {
     return ids;
   }
 
-  FaultyRun<Traits>& shard(int j) {
-    return *shards_[static_cast<size_t>(j)];
-  }
-  const FaultyRun<Traits>& shard(int j) const {
-    return *shards_[static_cast<size_t>(j)];
-  }
+  Stack& shard(int j) { return *shards_[static_cast<size_t>(j)]; }
+  const Stack& shard(int j) const { return *shards_[static_cast<size_t>(j)]; }
   const ShardTopology& topology() const { return topology_; }
 
  private:
   ShardTopology topology_;
-  std::vector<std::unique_ptr<FaultyRun<Traits>>> shards_;
+  std::vector<std::unique_ptr<Stack>> shards_;
+};
+
+// The sharded fault harness: one FaultyRun per shard.
+template <typename Traits>
+class ShardedFaultyRun : public Sharded<FaultyRun<Traits>> {
+ public:
+  ShardedFaultyRun(const typename Traits::Config& config,
+                   const std::vector<FaultConfig>& shard_faults,
+                   Backend backend)
+      : Sharded<FaultyRun<Traits>>(
+            config, shard_faults,
+            [backend](const auto& shard_config, const FaultConfig& faults,
+                      int shard) {
+              return std::make_unique<FaultyRun<Traits>>(
+                  shard_config, faults, backend, /*trace_shard=*/shard);
+            }) {}
 };
 
 using ShardedFaultyWswor = ShardedFaultyRun<WsworFaultTraits>;

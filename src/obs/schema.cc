@@ -82,29 +82,9 @@ void AppendQueryServiceStats(const query::QueryServiceStats& stats,
 void AppendFaultReport(const faults::RunReport& report,
                        const std::string& prefix, Snapshot* out) {
   out->Append(Join(prefix, "transcript_hash"), report.transcript_hash);
-  out->Append(Join(prefix, "delivered"), report.delivered);
-  out->Append(Join(prefix, "crashes"), report.crashes);
-  out->Append(Join(prefix, "crash_detections"), report.crash_detections);
-  out->Append(Join(prefix, "resyncs_sent"), report.resyncs_sent);
-  out->Append(Join(prefix, "lost_unacked"), report.lost_unacked);
-  out->Append(Join(prefix, "items_lost"), report.items_lost);
-  out->Append(Join(prefix, "duplicates_dropped"), report.duplicates_dropped);
-  out->Append(Join(prefix, "gaps_detected"), report.gaps_detected);
-  out->Append(Join(prefix, "nacks_sent"), report.nacks_sent);
-  out->Append(Join(prefix, "retransmits_sent"), report.retransmits_sent);
-  out->Append(Join(prefix, "stale_epoch_dropped"), report.stale_epoch_dropped);
-  out->Append(Join(prefix, "messages_dropped_down"),
-              report.messages_dropped_down);
-  out->Append(Join(prefix, "faults_forwarded"), report.faults_forwarded);
-  out->Append(Join(prefix, "faults_dropped"), report.faults_dropped);
-  out->Append(Join(prefix, "faults_duplicated"), report.faults_duplicated);
-  out->Append(Join(prefix, "faults_delayed"), report.faults_delayed);
-  out->Append(Join(prefix, "process_kills"), report.process_kills);
-  out->Append(Join(prefix, "recoveries"), report.recoveries);
-  out->Append(Join(prefix, "wal_records_logged"), report.wal_records_logged);
-  out->Append(Join(prefix, "wal_records_replayed"),
-              report.wal_records_replayed);
-  out->Append(Join(prefix, "checkpoints_written"), report.checkpoints_written);
+  for (const faults::RunReportCounter& counter : faults::kRunReportCounters) {
+    out->Append(Join(prefix, counter.name), report.*counter.field);
+  }
   out->Append(Join(prefix, "recovery_consistent"),
               static_cast<uint64_t>(report.recovery_consistent ? 1 : 0));
   out->Append(Join(prefix, "clean"),

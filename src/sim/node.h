@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "sampling/mergeable_sample.h"
 #include "sim/message.h"
@@ -132,6 +133,18 @@ inline MergeableSample CheckedShardSummary(const CoordinatorNode* node,
       << "'s coordinator exports no mergeable summary (protocol not "
          "shardable?)";
   return summary;
+}
+
+// The root merge every sharded backend answers MergedSample() with: the
+// checked summaries of `coordinators` (shard order) merged exactly.
+inline MergeableSample MergeShardCoordinators(
+    const std::vector<const CoordinatorNode*>& coordinators) {
+  std::vector<MergeableSample> summaries;
+  summaries.reserve(coordinators.size());
+  for (size_t shard = 0; shard < coordinators.size(); ++shard) {
+    summaries.push_back(CheckedShardSummary(coordinators[shard], shard));
+  }
+  return MergeShardSamples(summaries);
 }
 
 }  // namespace dwrs::sim

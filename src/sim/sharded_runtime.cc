@@ -50,12 +50,7 @@ void ShardedRuntime::Run(const Workload& workload,
 }
 
 MergeableSample ShardedRuntime::MergedSample() const {
-  std::vector<MergeableSample> summaries;
-  summaries.reserve(coordinators_.size());
-  for (size_t shard = 0; shard < coordinators_.size(); ++shard) {
-    summaries.push_back(CheckedShardSummary(coordinators_[shard], shard));
-  }
-  return MergeShardSamples(summaries);
+  return MergeShardCoordinators(coordinators_);
 }
 
 MessageStats ShardedRuntime::AggregateStats() const {

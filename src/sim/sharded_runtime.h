@@ -80,7 +80,7 @@ class ShardedRuntime {
 
   ShardTopology topology_;
   std::vector<std::unique_ptr<Runtime>> shards_;
-  std::vector<CoordinatorNode*> coordinators_;
+  std::vector<const CoordinatorNode*> coordinators_;
   uint64_t steps_ = 0;
 };
 

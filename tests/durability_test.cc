@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "durability/wal.h"
 #include "faults/fault_schedule.h"
 #include "faults/harness.h"
+#include "query/snapshot.h"
 #include "random/rng.h"
 #include "stream/generators.h"
 #include "stream/partitioners.h"
@@ -413,9 +415,19 @@ DurabilityOptions Opts(const std::string& dir) {
   return options;
 }
 
+// The encoded bytes of a checkpoint's snapshot core alone: equal bytes
+// mean every ShardSnapshot field — stamps, sample, threshold, message
+// stats — is bit-identical.
+std::vector<uint8_t> SnapshotBytes(const ShardCheckpoint& checkpoint) {
+  ShardCheckpoint core;
+  core.snapshot = checkpoint.snapshot;
+  return EncodeCheckpoint(core);
+}
+
 // A durable run with kills disabled is bit-identical to the plain fault
 // harness: the WAL/checkpoint machinery must be an observer, never a
-// participant.
+// participant. Its checkpoints carry the same snapshot core on both
+// backends, message accounting included.
 TEST(DurableShardTest, NoKillRunMatchesFaultyRunBitForBit) {
   const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 21};
   const Workload w = DurabilityWorkload(3, 200, /*seed=*/5);
@@ -424,6 +436,7 @@ TEST(DurableShardTest, NoKillRunMatchesFaultyRunBitForBit) {
   faults.drop_prob = 0.05;
   faults.delay_prob = 0.1;
   faults.max_delay = 2;
+  std::vector<ShardCheckpoint> newest;  // per backend, sim first
   for (Backend backend : {Backend::kSim, Backend::kEngine}) {
     faults::FaultyWswor reference(config, faults, backend);
     reference.Run(w);
@@ -443,8 +456,20 @@ TEST(DurableShardTest, NoKillRunMatchesFaultyRunBitForBit) {
       EXPECT_GT(r.checkpoints_written, 0u);
       EXPECT_TRUE(r.recovery_consistent);
     }
+    const std::optional<ShardCheckpoint> checkpoint = LoadLatestCheckpoint(dir);
+    ASSERT_TRUE(checkpoint.has_value());
+    newest.push_back(*checkpoint);
     RemoveAll(dir);
   }
+  const query::ShardSnapshot& sim = newest[0].snapshot;
+  const query::ShardSnapshot& eng = newest[1].snapshot;
+  EXPECT_GT(sim.messages.total_messages(), 0u);
+  EXPECT_EQ(eng.messages.total_messages(), sim.messages.total_messages());
+  EXPECT_EQ(eng.messages.words, sim.messages.words);
+  EXPECT_EQ(eng.state_version, sim.state_version);
+  EXPECT_EQ(eng.steps, sim.steps);
+  EXPECT_TRUE(SnapshotBytes(newest[1]) == SnapshotBytes(newest[0]))
+      << "checkpoint snapshot cores differ across backends";
 }
 
 // Kill-only schedules: the recovered run's final state is bit-identical
@@ -547,9 +572,23 @@ TEST(DurableShardTest, ShardedKillsMatchShardedFaultyMerge) {
     EXPECT_EQ(durable.MergedSampleIds(), reference.MergedSampleIds());
     EXPECT_EQ(durable.report().transcript_hash,
               reference.report().transcript_hash);
-    EXPECT_GE(durable.shard(0).process_kills(), 0u);
+    EXPECT_GE(durable.shard(0).process_kills(), 1u);
     EXPECT_EQ(durable.shard(1).process_kills(), 0u);
     EXPECT_TRUE(durable.report().recovery_consistent);
+    // The sharded report folds the durability counters over the shards.
+    RunReport sum;
+    for (int j = 0; j < durable.topology().num_shards(); ++j) {
+      const RunReport r = durable.shard(j).report();
+      sum.process_kills += r.process_kills;
+      sum.recoveries += r.recoveries;
+      sum.wal_records_logged += r.wal_records_logged;
+      sum.checkpoints_written += r.checkpoints_written;
+    }
+    const RunReport total = durable.report();
+    EXPECT_EQ(total.process_kills, sum.process_kills);
+    EXPECT_EQ(total.recoveries, sum.recoveries);
+    EXPECT_EQ(total.wal_records_logged, sum.wal_records_logged);
+    EXPECT_EQ(total.checkpoints_written, sum.checkpoints_written);
   }
   RemoveAll(dir);
 }
