@@ -7,10 +7,11 @@
 //                  where each slot holds a whole ingestion batch so the
 //                  per-item synchronization cost is one release store and
 //                  one acquire load amortized over the batch. The
-//                  consumer role migrates between pool workers; the
-//                  scheduler's state-machine RMW chain (scheduler.h)
-//                  provides the happens-before edge that keeps the ring
-//                  single-consumer at any instant.
+//                  consumer role migrates between dispatching threads
+//                  (pool workers, or the flushing thread under caller-
+//                  runs dispatch); the scheduler's state-machine RMW
+//                  chain (scheduler.h) provides the happens-before edge
+//                  that keeps the ring single-consumer at any instant.
 //   Channel<T>   — mutex+condvar FIFO, multi-producer, optionally bounded
 //                  with blocking producers (backpressure). Used for the
 //                  site->coordinator MPSC message channel (bounded: a slow

@@ -64,9 +64,7 @@ void Engine::Push(int site, const Item& item) {
   DWRS_CHECK(site >= 0 && site < config_.num_sites);
   DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
-  ItemBatch& batch = pending_[static_cast<size_t>(site)];
-  batch.push_back(item);
-  if (batch.size() >= config_.batch_size) HandOffBatch(site);
+  Append(site, item);
 }
 
 void Engine::Push(int site, const Item* items, size_t n) {
@@ -94,7 +92,7 @@ void Engine::RefillPending(int site) {
   }
 }
 
-void Engine::HandOffBatch(int site) {
+void Engine::HandOffBatch(int site, bool wake) {
   ItemBatch& batch = pending_[static_cast<size_t>(site)];
   if (batch.empty()) return;
   const uint64_t n = batch.size();
@@ -105,7 +103,8 @@ void Engine::HandOffBatch(int site) {
   stats_.batches_ingested.fetch_add(1, std::memory_order_relaxed);
   ItemBatch handoff = std::move(batch);
   RefillPending(site);
-  scheduler_->PushBatch(site, std::move(handoff), &stats_.ingest_stalls);
+  scheduler_->PushBatch(site, std::move(handoff), &stats_.ingest_stalls,
+                        wake);
 }
 
 bool Engine::AllIdle() const {
@@ -149,7 +148,15 @@ void Engine::CollectSiteCounters() {
 void Engine::Flush() {
   DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
-  for (int site = 0; site < config_.num_sites; ++site) HandOffBatch(site);
+  // Caller-runs: this thread is about to block until the sites drain, so
+  // it runs them itself rather than wake a worker and wait for it — on a
+  // busy or single CPU that wake is a context switch per flush. Home-only
+  // mode keeps wake-and-wait (a site runs only on its home worker).
+  const bool caller_runs = config_.work_stealing;
+  for (int site = 0; site < config_.num_sites; ++site) {
+    HandOffBatch(site, /*wake=*/!caller_runs);
+  }
+  if (caller_runs) scheduler_->RunQueuedSites();
   WaitQuiesce();
   CollectSiteCounters();
 }
@@ -157,11 +164,12 @@ void Engine::Flush() {
 void Engine::Run(const Workload& workload,
                  const std::function<void(uint64_t)>& on_step) {
   DWRS_CHECK_EQ(workload.num_sites(), config_.num_sites);
+  DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
   const bool step_synchronous = config_.step_synchronous || on_step != nullptr;
   for (uint64_t i = 0; i < workload.size(); ++i) {
     const WorkloadEvent& event = workload.event(i);
-    Push(event.site, event.item);
+    Append(event.site, event.item);  // sites checked by Workload
     if (step_synchronous) {
       Flush();
       if (on_step) on_step(i + 1);
@@ -177,12 +185,13 @@ void Engine::RunPaced(const Workload& workload,
   uint64_t total = 0;
   for (uint32_t b : batches) total += b;
   DWRS_CHECK_EQ(total, workload.size());
+  DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
   uint64_t pos = 0;
   for (uint32_t b : batches) {
     for (uint32_t j = 0; j < b; ++j) {
       const WorkloadEvent& event = workload.event(pos++);
-      Push(event.site, event.item);
+      Append(event.site, event.item);
       if (config_.step_synchronous) Flush();
     }
     if (on_round) {

@@ -10,9 +10,10 @@
 // kRunning...) -> kIdle. Producers notify via an unconditional RMW on
 // `sched`, which both prevents double-enqueueing and carries the
 // happens-before edge that makes a producer's ring/inbox writes visible
-// to whichever worker runs the site next — the single-threaded endpoint
+// to whichever thread runs the site next (a pool worker, or the flushing
+// thread under caller-runs dispatch) — the single-threaded endpoint
 // contract of sim/node.h holds even though consecutive dispatches of one
-// site may land on different workers.
+// site may land on different threads.
 
 #ifndef DWRS_ENGINE_LOGICAL_SITE_H_
 #define DWRS_ENGINE_LOGICAL_SITE_H_
@@ -32,11 +33,11 @@ using ItemBatch = std::vector<Item>;
 // Values of LogicalSite::sched. Transitions:
 //   producers (feeder / coordinator thread / other workers):
 //     kIdle    -> kQueued    enqueue on the home worker's run queue
-//     kRunning -> kNotified  the running worker re-drains before idling
+//     kRunning -> kNotified  the running thread re-drains before idling
 //     kQueued / kNotified    unchanged (still an RMW: the write is what
 //                            publishes the producer's queue pushes to the
-//                            next dispatching worker)
-//   the dispatching worker:
+//                            next dispatching thread)
+//   the dispatching thread (pool worker or caller-runs flusher):
 //     kQueued   -> kRunning  on dispatch (acquire: see producer pushes)
 //     kRunning  -> kIdle     drained and no notification raced in
 //     kNotified -> kRunning  notification raced in: drain again
@@ -62,15 +63,15 @@ struct LogicalSite {
   LogicalSite(const LogicalSite&) = delete;
   LogicalSite& operator=(const LogicalSite&) = delete;
 
-  // Any work a dispatching worker could pick up right now. Safe from any
+  // Any work a dispatching thread could pick up right now. Safe from any
   // thread; the scheduling protocol (not this hint) is what guarantees no
   // work is stranded.
   bool HasWork() const { return !items.Empty() || control.SizeApprox() > 0; }
 
   sim::SiteNode* const node;
   const int site;
-  SpscRing<ItemBatch> items;     // feeder -> running worker (whole batches)
-  SpscRing<ItemBatch> recycled;  // running worker -> feeder (drained buffers)
+  SpscRing<ItemBatch> items;     // feeder -> running thread (whole batches)
+  SpscRing<ItemBatch> recycled;  // running thread -> feeder (drained buffers)
   Channel<sim::Payload> control;  // coordinator -> site, unbounded
   std::atomic<uint32_t> sched{kSiteIdle};
 };

@@ -83,7 +83,7 @@ void Scheduler::Join() {
   }
 }
 
-void Scheduler::Enqueue(LogicalSite* site, int worker) {
+void Scheduler::Enqueue(LogicalSite* site, int worker, bool wake) {
   Worker& w = *workers_[static_cast<size_t>(worker)];
   {
     std::lock_guard<std::mutex> lock(w.mutex);
@@ -94,6 +94,10 @@ void Scheduler::Enqueue(LogicalSite* site, int worker) {
   // and spin until the push lands).
   w.queued.fetch_add(1);
   ready_.fetch_add(1);
+  if (wake) WakeWorkers();
+}
+
+void Scheduler::WakeWorkers() {
   std::lock_guard<std::mutex> lock(park_mutex_);
   if (work_stealing_) {
     // Any worker can serve any runnable site.
@@ -104,7 +108,7 @@ void Scheduler::Enqueue(LogicalSite* site, int worker) {
   }
 }
 
-void Scheduler::NotifySite(LogicalSite* site, int preferred_worker) {
+void Scheduler::NotifySite(LogicalSite* site, bool wake) {
   // The producer-side edge of the state machine (see scheduler.h). Every
   // branch performs the CAS — including the "unchanged" ones — because
   // the RMW's release write is what publishes this producer's queue push
@@ -120,14 +124,14 @@ void Scheduler::NotifySite(LogicalSite* site, int preferred_worker) {
     if (site->sched.compare_exchange_weak(cur, next,
                                           std::memory_order_release,
                                           std::memory_order_relaxed)) {
-      if (cur == kSiteIdle) Enqueue(site, preferred_worker);
+      if (cur == kSiteIdle) Enqueue(site, Home(*site), wake);
       return;
     }
   }
 }
 
 void Scheduler::PushBatch(int site, ItemBatch&& batch,
-                          std::atomic<uint64_t>* stall_counter) {
+                          std::atomic<uint64_t>* stall_counter, bool wake) {
   DWRS_CHECK(!batch.empty());
   LogicalSite& s = *sites_[static_cast<size_t>(site)];
   // pushed is incremented before the enqueue so a batch is never
@@ -159,7 +163,7 @@ void Scheduler::PushBatch(int site, ItemBatch&& batch,
       space_cv_.wait(lock);
     }
   }
-  NotifySite(&s, static_cast<int>(s.site % num_workers()));
+  NotifySite(&s, wake);
 }
 
 void Scheduler::PushControl(int site, const sim::Payload& msg) {
@@ -169,7 +173,7 @@ void Scheduler::PushControl(int site, const sim::Payload& msg) {
     units_pushed_.fetch_sub(1);
     return;
   }
-  NotifySite(&s, static_cast<int>(s.site % num_workers()));
+  NotifySite(&s, /*wake=*/true);
 }
 
 LogicalSite* Scheduler::DequeueLocal(Worker& me) {
@@ -220,7 +224,7 @@ void Scheduler::DrainControl(LogicalSite* site) {
   if (did_work) bus_->NotifyProgress();
 }
 
-void Scheduler::ProcessBatch(int worker, LogicalSite* site, ItemBatch& batch) {
+void Scheduler::ProcessBatch(LogicalSite* site, ItemBatch& batch) {
   // A ring slot just freed up; unblock the feeder before the batch is
   // processed so ingestion overlaps with site work. Unconditional (the
   // notify is skipped only when nobody waits, which the condvar handles):
@@ -269,7 +273,6 @@ void Scheduler::ProcessBatch(int worker, LogicalSite* site, ItemBatch& batch) {
   }
   units_done_.fetch_add(1);
   bus_->NotifyProgress();
-  (void)worker;
 }
 
 void Scheduler::RunSite(int worker, LogicalSite* site) {
@@ -293,16 +296,19 @@ void Scheduler::RunSite(int worker, LogicalSite* site) {
   for (;;) {
     DrainControl(site);
     while (batches_run < dispatch_quantum_ && site->items.TryPop(&batch)) {
-      ProcessBatch(worker, site, batch);
+      ProcessBatch(site, batch);
       ++batches_run;
     }
     if (batches_run >= dispatch_quantum_ && site->HasWork()) {
-      // Quantum exhausted with work left: requeue on our own queue and
-      // yield the worker so a hot site cannot starve its siblings. The
-      // release store also hands the ring consumer role to the next
-      // dispatcher (which takes the site with an acquire exchange).
-      site->sched.store(kSiteQueued, std::memory_order_release);
-      Enqueue(site, worker);
+      // Quantum exhausted with work left: requeue on our own queue (the
+      // home queue for the caller-runs thread) and yield so a hot site
+      // cannot starve its siblings. The release half of the exchange
+      // hands the ring consumer role to the next dispatcher (which takes
+      // the site with an acquire exchange); being an RMW, it also keeps
+      // a notification that raced in on the chain that dispatcher reads.
+      site->sched.exchange(kSiteQueued, std::memory_order_acq_rel);
+      Enqueue(site, worker < num_workers() ? worker : Home(*site),
+              /*wake=*/true);
       return;
     }
     // Drained everything we can see; try to go idle. A failure means a
@@ -315,8 +321,34 @@ void Scheduler::RunSite(int worker, LogicalSite* site) {
                                             std::memory_order_acquire)) {
       return;
     }
-    site->sched.store(kSiteRunning, std::memory_order_relaxed);
+    // Take the site back with an RMW, not a plain store. A store could
+    // sit in the store buffer while the re-drain's ring loads run ahead
+    // of it; a producer pushing in that window would see kNotified, leave
+    // it, and have its notification overwritten by our kRunning while
+    // the re-drain misses its batch — the site would go idle with a
+    // nonempty ring and the quiesce wait would never end.
+    site->sched.exchange(kSiteRunning, std::memory_order_acq_rel);
   }
+}
+
+void Scheduler::RunQueuedSites() {
+  DWRS_CHECK(work_stealing_) << " caller-runs dispatch needs work stealing";
+  const int caller = num_workers();
+  uint64_t dispatches = 0;
+  for (bool found = true; found;) {
+    found = false;
+    for (auto& worker : workers_) {
+      LogicalSite* site = DequeueLocal(*worker);
+      if (site == nullptr) continue;
+      RunSite(caller, site);
+      ++dispatches;
+      found = true;
+    }
+  }
+  stats_->flush_dispatches.fetch_add(dispatches, std::memory_order_relaxed);
+  // Never leave a site queued with nobody woken for it: the engine's
+  // quiesce wait sleeps until a pool worker reports progress.
+  if (ready_.load() > 0) WakeWorkers();
 }
 
 void Scheduler::WorkerMain(int worker) {

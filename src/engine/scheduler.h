@@ -16,26 +16,39 @@
 // compare-exchange loop —
 //
 //   kIdle    -> kQueued    (the notifier enqueues the site)
-//   kRunning -> kNotified  (the running worker re-drains before idling)
+//   kRunning -> kNotified  (the running thread re-drains before idling)
 //   kQueued, kNotified     unchanged — but written back anyway, because
 //                          the RMW is the point: it reads the latest
 //                          value in modification order and its release
 //                          write is what publishes the producer's queue
-//                          push to the worker that eventually observes
+//                          push to the thread that eventually observes
 //                          the state.
 //
-// The dispatching worker takes a site with exchange(kRunning, acq_rel)
+// The dispatching thread takes a site with exchange(kRunning, acq_rel)
 // and leaves with compare_exchange(kRunning -> kIdle); a failure means a
 // notification raced in, and the failure load's acquire ordering makes
 // the racing producer's pushes visible for the re-drain. Because every
-// producer-side edge is an RMW and the worker never goes idle without
-// winning that CAS, no notification can be lost to store-buffer
-// reordering — the classic "store idle, then recheck the queues" lost-
-// wakeup race has no analogue here. The same chain of RMWs hands the
-// SPSC rings' consumer role from worker to worker with a happens-before
+// write to the word is an RMW — the producers' CAS loop and every
+// dispatcher transition (exchange to kRunning or kQueued, CAS to kIdle)
+// — and the dispatcher never goes idle without winning that CAS, no
+// notification can be lost to store-buffer reordering: the classic
+// "store, then recheck the queues" lost-wakeup race has no analogue
+// here. A single plain store (say, of kRunning after a failed idle CAS)
+// would bring it back. The same chain of RMWs hands the
+// SPSC rings' consumer role from thread to thread with a happens-before
 // edge, so the single-threaded endpoint contract of sim/node.h holds
 // even though consecutive dispatches of one site may run on different
-// workers.
+// threads.
+//
+// Caller-runs dispatch (RunQueuedSites, Engine::Flush's path): with work
+// stealing on, the thread about to wait for quiescence queues its
+// partial batches without waking a pool worker and then runs the queued
+// sites itself — dequeued under the run-queue mutex and taken with the
+// same exchange a stealing worker uses — until no run queue holds a
+// site. A step-synchronous step whose items send no message then costs
+// no futex wake and no context switch: the feeder hands the item to
+// itself. Home-only mode never does this, since its contract is that a
+// site runs only on its home worker.
 //
 // Quiesce accounting is aggregate: one pushed counter incremented before
 // any unit (item batch or control message) is enqueued, one done counter
@@ -91,9 +104,18 @@ class Scheduler {
   // Blocks while the site's item ring is full — the engine's ingestion
   // backpressure. Counts blocking episodes in `stall_counter`. A stop
   // request mid-wait drops the batch and counts it in
-  // stats->batches_dropped_on_shutdown.
+  // stats->batches_dropped_on_shutdown. With `wake` false a site this
+  // push makes runnable is queued without waking a pool worker; the
+  // caller must then call RunQueuedSites before it waits on the engine.
   void PushBatch(int site, ItemBatch&& batch,
-                 std::atomic<uint64_t>* stall_counter);
+                 std::atomic<uint64_t>* stall_counter, bool wake = true);
+
+  // Caller-runs dispatch (see the header comment): runs queued sites on
+  // the calling thread until no run queue holds one, then wakes the pool
+  // if anything is still queued. Each dispatch counts in
+  // stats->flush_dispatches and traces as worker num_workers(). Work-
+  // stealing mode only; feeder thread only.
+  void RunQueuedSites();
 
   // Coordinator side. Never blocks (control channels are unbounded to
   // break the site⇄coordinator wait cycle; see channels.h).
@@ -132,11 +154,15 @@ class Scheduler {
   void WorkerMain(int worker);
   LogicalSite* DequeueLocal(Worker& me);
   LogicalSite* Steal(int thief);
+  // `worker` is the pool index, or num_workers() for the caller-runs
+  // thread (which has no run queue of its own).
   void RunSite(int worker, LogicalSite* site);
   void DrainControl(LogicalSite* site);
-  void ProcessBatch(int worker, LogicalSite* site, ItemBatch& batch);
-  void NotifySite(LogicalSite* site, int preferred_worker);
-  void Enqueue(LogicalSite* site, int worker);
+  void ProcessBatch(LogicalSite* site, ItemBatch& batch);
+  void NotifySite(LogicalSite* site, bool wake);
+  void Enqueue(LogicalSite* site, int worker, bool wake);
+  void WakeWorkers();
+  int Home(const LogicalSite& site) const { return site.site % num_workers(); }
   bool Runnable(const Worker& me) const {
     return work_stealing_ ? ready_.load() > 0 : me.queued.load() > 0;
   }

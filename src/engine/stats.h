@@ -35,13 +35,16 @@ struct EngineStats {
   std::atomic<uint64_t> upstream_stalls{0};  // site blocked: MPSC channel full
   std::atomic<uint64_t> quiesces{0};
 
-  // Scheduler counters: logical-site dispatches onto pool workers, sites
-  // a dry worker stole from a sibling's run queue, times a worker parked
-  // on the shared bus with nothing runnable, and ingestion batches
-  // dropped because shutdown was requested while the feeder was blocked
-  // on a full site ring (nonzero iff item accounting is allowed not to
+  // Scheduler counters: logical-site dispatches (on pool workers or the
+  // flushing thread), the subset the flushing thread ran itself
+  // (caller-runs dispatch, see engine/scheduler.h), sites a dry worker
+  // stole from a sibling's run queue, times a worker parked on the
+  // shared bus with nothing runnable, and ingestion batches dropped
+  // because shutdown was requested while the feeder was blocked on a
+  // full site ring (nonzero iff item accounting is allowed not to
   // reconcile: items_ingested counts them, no endpoint saw them).
   std::atomic<uint64_t> sites_scheduled{0};
+  std::atomic<uint64_t> flush_dispatches{0};
   std::atomic<uint64_t> steals{0};
   std::atomic<uint64_t> worker_parks{0};
   std::atomic<uint64_t> batches_dropped_on_shutdown{0};

@@ -55,6 +55,7 @@ void AppendEngineStats(const engine::EngineStats& stats,
   out->Append(Join(prefix, "batches_recycled"), get(stats.batches_recycled));
   out->Append(Join(prefix, "batch_pool_misses"), get(stats.batch_pool_misses));
   out->Append(Join(prefix, "sites_scheduled"), get(stats.sites_scheduled));
+  out->Append(Join(prefix, "flush_dispatches"), get(stats.flush_dispatches));
   out->Append(Join(prefix, "steals"), get(stats.steals));
   out->Append(Join(prefix, "worker_parks"), get(stats.worker_parks));
   out->Append(Join(prefix, "batches_dropped_on_shutdown"),

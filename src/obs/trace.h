@@ -68,7 +68,8 @@ enum class EventType : uint16_t {
   kRetransmit = 18,        // go-back-N retransmission of an unacked message
   kEpochBump = 19,         // coordinator session detected a site restart
   kResyncSend = 20,        // one resync message sent to a reborn site
-  kSiteScheduled = 21,     // scheduler dispatched a logical site (a=worker)
+  kSiteScheduled = 21,     // scheduler dispatched a logical site (a=worker;
+                           // a=num_workers: the flushing thread ran it)
   kSteal = 22,             // worker stole a runnable site (a=thief worker)
   kWorkerPark = 23,        // pool worker parked, nothing runnable (a=worker)
   kWalAppend = 24,         // durability: one record framed into the WAL

@@ -101,7 +101,7 @@ std::shared_ptr<const QueryResult> QueryService::QueryShared() const {
       cache_.load(std::memory_order_acquire);
   if (entry != nullptr) {
     // Revalidate by sequence stamp alone: S cheap probes instead of S
-    // full ShardSnapshot copies. A probe that lags its ring by one
+    // full ShardSnapshot copies. A probe that leads its ring by one
     // in-flight publish only turns a hit into a miss.
     bool hit = true;
     for (size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -130,10 +130,11 @@ std::shared_ptr<const QueryResult> QueryService::QueryShared() const {
     // the key can never be torn against the result it describes.
     fresh->seqs[shard] = fresh->result.shards[shard].publish_seq;
   }
-  // Install unless a concurrent reader already installed a cut at least
-  // as new. Per-shard sequences are monotone, so the sum orders cuts;
-  // losing the race to a newer entry just means serving our own (still
-  // coherent) result without caching it.
+  // Install unless the cached cut's sequence sum is at least ours, so
+  // the cache tends forward. The sum does not order cuts shard by shard
+  // ((9, 7) beats (10, 5)); per-reader monotonicity comes from the
+  // probes above, not from this rule. Losing the race just means serving
+  // our own (still coherent) result without caching it.
   const uint64_t fresh_sum = SeqSum(fresh->seqs);
   std::shared_ptr<const CachedQuery> cur =
       cache_.load(std::memory_order_acquire);

@@ -31,6 +31,12 @@
 // misses the cache; the next query rebuilds and reinstalls. Hits cost
 // S sequence probes and zero snapshot copies (the probe replaces the
 // full ShardSnapshot copy Read() would make) — O(1) in sample size.
+// The probes also keep every reader monotone per shard: a probe never
+// lags a read (query/snapshot.h), so once a reader has been served
+// publish n of a shard, an entry holding an older publish of it misses.
+// The install rule does not provide this — cuts built by different
+// readers are not ordered shard by shard, so the cache itself can hold
+// a cut older in one shard than one already served.
 //
 // Time travel. QueryAsOf(v) asks each shard for its newest retained
 // snapshot with state_version <= v (the publisher keeps a ring of the

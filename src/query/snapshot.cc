@@ -82,6 +82,12 @@ void SnapshotPublisher::Publish(ShardSnapshot snap) {
   const uint64_t version = snap.state_version;
   Node* node = AcquireFreeNode();
   node->snap = std::move(snap);
+  // The sequence probe is stored BEFORE the slot/latest swaps, so it
+  // may lead the ring by one in-flight publish but never lags a read: a
+  // reader that copied publish n then probes >= n. A leading probe only
+  // turns a cache hit into a miss; a lagging one would let a reader that
+  // was just served publish n hit a cached cut holding n - 1.
+  latest_seq_.store(seq, std::memory_order_seq_cst);
   const size_t slot = static_cast<size_t>((seq - 1) % ring_.size());
   Node* evicted = ring_mirror_[slot];
   node->in_ring = true;
@@ -89,9 +95,8 @@ void SnapshotPublisher::Publish(ShardSnapshot snap) {
   if (evicted != nullptr) evicted->in_ring = false;
   ring_mirror_[slot] = node;
   latest_.store(node, std::memory_order_seq_cst);
-  // Stored after the slot/latest swaps: cache probes may lag the ring by
-  // one in-flight publish (a spurious cache miss, never a wrong hit).
-  latest_seq_.store(seq, std::memory_order_seq_cst);
+  // The version probe is stored AFTER the swaps: a waiter released by it
+  // (WaitForStateVersion) must find the new snapshot when it re-reads.
   latest_version_.store(version, std::memory_order_seq_cst);
   publish_count_.fetch_add(1, std::memory_order_release);
   // Freshness-SLO waiters: only touch the mutex when somebody is

@@ -145,15 +145,18 @@ class SnapshotPublisher {
     return publish_count_.load(std::memory_order_acquire);
   }
 
-  // Cheap revalidation probes for the merge cache: the publish sequence
-  // / state version of the most recent publish, without copying the
-  // snapshot. Readers may see these lag the ring by at most one
-  // in-flight publish (they are stored after the slot swap), which can
-  // only turn a cache hit into a miss — never serve a wrong entry,
-  // because the cache key is compared against these same probes.
+  // Cheap revalidation probe for the merge cache: the publish sequence
+  // of the most recent publish, without copying the snapshot. It is
+  // stored before the ring swap, so it never lags a read: a thread that
+  // read publish n then probes >= n. It may lead the ring by one
+  // in-flight publish, which only turns a cache hit into a miss — never
+  // a wrong or older hit, because the cache key is compared against it.
   uint64_t latest_seq() const {
     return latest_seq_.load(std::memory_order_seq_cst);
   }
+  // The state version of the most recent publish. Stored after the ring
+  // swap (it may lag Read() by one in-flight publish), so a freshness
+  // waiter that sees version v and re-reads finds a snapshot >= v.
   uint64_t latest_state_version() const {
     return latest_version_.load(std::memory_order_seq_cst);
   }

@@ -157,6 +157,8 @@ TEST(SchemaTest, EngineStatsSnapshotIsBitEqualAtQuiesce) {
   EXPECT_EQ(Uint(snap, "engine/batches_ingested"),
             get(stats.batches_ingested));
   EXPECT_EQ(Uint(snap, "engine/quiesces"), get(stats.quiesces));
+  EXPECT_EQ(Uint(snap, "engine/flush_dispatches"),
+            get(stats.flush_dispatches));
   EXPECT_EQ(Uint(snap, "engine/keys_decided"), get(stats.keys_decided));
   EXPECT_EQ(get(stats.items_ingested), 30000u);
 

@@ -247,6 +247,57 @@ TEST(SnapshotPublisherTest, ConcurrentReadersSeeCoherentSnapshots) {
   }
 }
 
+// The merge cache's monotonicity rests on this order: the sequence
+// probe is stored before the snapshot becomes readable, so a reader
+// that copied publish n never probes less than n afterwards. (With the
+// probe stored after the swap, a reader could be served publish n, hit
+// a cached cut holding n - 1, and see the shard go backwards.)
+TEST(SnapshotPublisherTest, SequenceProbeNeverLagsARead) {
+  SnapshotPublisher publisher;
+  constexpr uint64_t kMinPublishes = 20000;
+  constexpr uint64_t kMinReadsEach = 50;
+  constexpr int kReaders = 2;
+
+  std::atomic<bool> stop{false};
+  std::vector<uint64_t> lagging(kReaders, 0);
+  std::vector<std::atomic<uint64_t>> reads(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&publisher, &stop, &lagging, &reads, r] {
+      ShardSnapshot snap;
+      while (!stop.load(std::memory_order_acquire)) {
+        if (!publisher.Read(&snap)) continue;
+        if (publisher.latest_seq() < snap.publish_seq) {
+          ++lagging[static_cast<size_t>(r)];
+        }
+        reads[static_cast<size_t>(r)].fetch_add(1,
+                                                std::memory_order_relaxed);
+      }
+    });
+  }
+  const auto slowest_reads = [&reads] {
+    uint64_t slowest = ~uint64_t{0};
+    for (const auto& r : reads) {
+      slowest = std::min(slowest, r.load(std::memory_order_relaxed));
+    }
+    return slowest;
+  };
+  for (uint64_t v = 1; v <= kMinPublishes || slowest_reads() < kMinReadsEach;
+       ++v) {
+    publisher.Publish(TopKeySnapshot(v, 4, {KI(v, 1.0, 1.0)}));
+    if (v % 64 == 0) std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(lagging[static_cast<size_t>(r)], 0u) << " reader " << r;
+    EXPECT_GE(reads[static_cast<size_t>(r)].load(), kMinReadsEach)
+        << " reader " << r;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Snapshot ring: time-travel reads and eviction semantics.
 

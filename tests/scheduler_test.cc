@@ -3,9 +3,11 @@
 // equivalence with sim::Runtime at small and large k, a deterministic
 // work-stealing scenario (a dry worker must steal a site homed to a busy
 // sibling), skewed-load draining in both scheduling modes, quiesce under
-// flush churn, the batches_dropped_on_shutdown accounting, and a
-// 100k-logical-site smoke run on a bounded pool. The whole file is run
-// under -fsanitize=thread in CI.
+// flush churn, caller-runs dispatch (the flushing thread runs queued
+// sites itself; home-only mode never does; it races the pool for sites
+// at a pipelined pass end), the batches_dropped_on_shutdown accounting,
+// and a 100k-logical-site smoke run on a bounded pool. The whole file
+// is run under -fsanitize=thread in CI.
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "core/naive.h"
 #include "core/sampler.h"
 #include "engine/channels.h"
 #include "engine/engine.h"
@@ -317,6 +320,197 @@ TEST(SchedulerQuiesceTest, FlushChurnWithProtocolTraffic) {
   EXPECT_EQ(es.coordinator->Sample().size(), 32u);
   EXPECT_EQ(es.eng.stats().items_ingested.load(), n);
   EXPECT_GE(es.eng.stats().quiesces.load(), n / 1000);
+}
+
+// ---------------------------------------------------------------------
+// Caller-runs dispatch. A step-synchronous Flush hands the step's batch
+// to its site without waking the pool and runs the site on the flushing
+// thread. The naive protocol's coordinator never sends to a site, so
+// once both pool workers have parked (during step 1) nothing may wake
+// them again: every later step is exactly one dispatch on the flushing
+// thread, and the run stays bit-identical to the simulator.
+
+struct CallerRunsResult {
+  std::vector<KeyedItem> sample;
+  sim::MessageStats messages;
+  uint64_t flush_dispatches = 0;
+  uint64_t flush_dispatches_after_step1 = 0;
+  uint64_t worker_parks_after_step1 = 0;
+};
+
+CallerRunsResult RunNaiveStepSync(const Workload& w, int s, uint64_t seed,
+                                  bool work_stealing) {
+  const int k = w.num_sites();
+  Rng master(seed);
+  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
+  NaiveWsworCoordinator coordinator(s);
+  Engine eng(EngineConfig{
+      .num_sites = k, .num_workers = 2, .work_stealing = work_stealing});
+  for (int i = 0; i < k; ++i) {
+    sites.push_back(std::make_unique<NaiveWsworSite>(s, i, &eng.transport(),
+                                                     master.NextU64()));
+    eng.AttachSite(i, sites.back().get());
+  }
+  eng.AttachCoordinator(&coordinator);
+
+  const EngineStats& stats = eng.stats();
+  uint64_t dispatches_at_step1 = 0;
+  uint64_t parks_at_step1 = 0;
+  eng.Run(w, [&](uint64_t step) {
+    if (step != 1) return;
+    // Both workers park once nothing is runnable; a worker still
+    // starting up may have taken step 1's site itself.
+    SpinUntil([&] { return stats.worker_parks.load() >= 2; });
+    dispatches_at_step1 = stats.flush_dispatches.load();
+    parks_at_step1 = stats.worker_parks.load();
+  });
+  CallerRunsResult out;
+  out.sample = coordinator.Sample();
+  out.messages = stats.MessageSnapshot();
+  out.flush_dispatches = stats.flush_dispatches.load();
+  out.flush_dispatches_after_step1 =
+      out.flush_dispatches - dispatches_at_step1;
+  out.worker_parks_after_step1 = stats.worker_parks.load() - parks_at_step1;
+  eng.Shutdown();
+  return out;
+}
+
+void ExpectSameNaiveRun(const NaiveDistributedWswor& sim_sampler,
+                        const CallerRunsResult& run) {
+  const std::vector<KeyedItem> expected = sim_sampler.Sample();
+  ASSERT_EQ(expected.size(), run.sample.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].item.id, run.sample[i].item.id) << " position " << i;
+    EXPECT_EQ(expected[i].key, run.sample[i].key) << " position " << i;
+  }
+  EXPECT_EQ(sim_sampler.stats().site_to_coord, run.messages.site_to_coord);
+  EXPECT_EQ(sim_sampler.stats().coord_to_site, run.messages.coord_to_site);
+  EXPECT_EQ(sim_sampler.stats().words, run.messages.words);
+}
+
+Workload CallerRunsWorkload(int k, uint64_t n) {
+  return WorkloadBuilder()
+      .num_sites(k)
+      .num_items(n)
+      .seed(17)
+      .weights(std::make_unique<ZipfWeights>(uint64_t{1} << 16, 1.2))
+      .partitioner(std::make_unique<RandomPartitioner>())
+      .Build();
+}
+
+TEST(CallerRunsTest, StepSyncFlushRunsEveryStepOnTheFlushingThread) {
+  constexpr int k = 8, s = 16;
+  constexpr uint64_t n = 3000;
+  const Workload w = CallerRunsWorkload(k, n);
+  NaiveDistributedWswor sim_sampler(k, s, /*seed=*/31);
+  sim_sampler.Run(w);
+
+  const CallerRunsResult run =
+      RunNaiveStepSync(w, s, /*seed=*/31, /*work_stealing=*/true);
+  ExpectSameNaiveRun(sim_sampler, run);
+  // Steps 2..n each bore one item; Run's closing Flush bore none.
+  EXPECT_EQ(run.flush_dispatches_after_step1, n - 1);
+  EXPECT_EQ(run.worker_parks_after_step1, 0u);
+}
+
+TEST(CallerRunsTest, HomeOnlyModeKeepsWakeAndWait) {
+  constexpr int k = 8, s = 16;
+  constexpr uint64_t n = 3000;
+  const Workload w = CallerRunsWorkload(k, n);
+  NaiveDistributedWswor sim_sampler(k, s, /*seed=*/31);
+  sim_sampler.Run(w);
+
+  const CallerRunsResult home_only =
+      RunNaiveStepSync(w, s, /*seed=*/31, /*work_stealing=*/false);
+  ExpectSameNaiveRun(sim_sampler, home_only);
+  EXPECT_EQ(home_only.flush_dispatches, 0u);
+}
+
+// A WsworSite that also counts what it was handed. Plain counters: the
+// engine's single-threaded endpoint contract (and, at quiesce points,
+// its pushed/done handshake) must make them race-free even when the
+// flushing thread and the pool workers take turns running the site.
+struct CountedWsworSite : WsworSite {
+  using WsworSite::WsworSite;
+  void OnItem(const Item& item) override {
+    ++items_seen;
+    WsworSite::OnItem(item);
+  }
+  void OnItems(const Item* items, size_t n) override {
+    items_seen += n;
+    WsworSite::OnItems(items, n);
+  }
+  void OnMessage(const sim::Payload& msg) override {
+    ++messages_seen;
+    WsworSite::OnMessage(msg);
+  }
+  uint64_t items_seen = 0;
+  uint64_t messages_seen = 0;
+};
+
+// Pipelined ingestion into tiny rings and a tiny coordinator inbox, with
+// a Flush every few hundred items: each Flush finds full rings (a worker
+// is mid-quantum or about to steal) and threshold broadcasts in flight,
+// so the flushing thread and the workers race for the same queued
+// sites. Every Flush must still return at a quiesce point where all
+// items and all messages were delivered exactly once.
+TEST(CallerRunsTest, PassEndFlushRacesWorkersForQueuedSites) {
+  constexpr int k = 8;
+  constexpr int kTrials = 10;
+  constexpr uint64_t kItems = 3000;
+  constexpr uint64_t kFlushEvery = 250;
+  uint64_t flush_dispatches = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const WsworConfig wswor{.num_sites = k,
+                            .sample_size = 8,
+                            .seed = 100 + static_cast<uint64_t>(trial)};
+    std::vector<std::unique_ptr<CountedWsworSite>> sites;
+    std::unique_ptr<WsworCoordinator> coordinator;
+    Engine eng(EngineConfig{.num_sites = k,
+                            .num_workers = 2,
+                            .batch_size = 8,
+                            .item_queue_batches = 2,
+                            .message_queue_capacity = 4,
+                            .control_poll_stride = 4});
+    Rng master(wswor.seed);
+    for (int i = 0; i < k; ++i) {
+      sites.push_back(std::make_unique<CountedWsworSite>(
+          wswor, i, &eng.transport(), master.NextU64()));
+      eng.AttachSite(i, sites.back().get());
+    }
+    coordinator = std::make_unique<WsworCoordinator>(wswor, &eng.transport(),
+                                                     master.NextU64());
+    eng.AttachCoordinator(coordinator.get());
+
+    Rng partition(7 + static_cast<uint64_t>(trial));
+    for (uint64_t i = 0; i < kItems; ++i) {
+      eng.Push(static_cast<int>(partition.NextBounded(uint64_t{k})),
+               Item{i, 1.0 + static_cast<double>(i % 13)});
+      if ((i + 1) % kFlushEvery != 0) continue;
+      eng.Flush();
+      uint64_t items = 0, control = 0;
+      for (const auto& site : sites) {
+        items += site->items_seen;
+        control += site->messages_seen;
+      }
+      const sim::MessageStats messages = eng.stats().MessageSnapshot();
+      EXPECT_EQ(items, i + 1) << " trial " << trial;
+      EXPECT_EQ(control, messages.coord_to_site) << " trial " << trial;
+      EXPECT_EQ(coordinator->early_received() +
+                    coordinator->regular_received(),
+                messages.site_to_coord)
+          << " trial " << trial;
+    }
+    const std::vector<KeyedItem> sample = coordinator->Sample();
+    ASSERT_EQ(sample.size(), 8u);
+    for (size_t j = 1; j < sample.size(); ++j) {
+      EXPECT_GT(sample[j - 1].key, sample[j].key);
+    }
+    EXPECT_EQ(eng.stats().batches_dropped_on_shutdown.load(), 0u);
+    flush_dispatches += eng.stats().flush_dispatches.load();
+    eng.Shutdown();
+  }
+  EXPECT_GT(flush_dispatches, 0u);
 }
 
 // ---------------------------------------------------------------------
