@@ -10,31 +10,12 @@
 #include <cstdio>
 #include <cstring>
 
-#include "durability/records.h"
 #include "durability/wal.h"
 #include "sim/codec.h"
 
 namespace dwrs::durability {
 
 namespace {
-
-void PutU64Le(std::vector<uint8_t>* out, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(x >> (8 * i)));
-  }
-}
-
-void PutU32Le(std::vector<uint8_t>* out, uint32_t x) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(x >> (8 * i)));
-  }
-}
-
-void PutMsg(std::vector<uint8_t>* out, const sim::Payload& msg) {
-  const std::vector<uint8_t> wire = sim::EncodePayload(msg);
-  sim::PutVarint(out, wire.size());
-  out->insert(out->end(), wire.begin(), wire.end());
-}
 
 void PutSample(std::vector<uint8_t>* out, const MergeableSample& sample) {
   out->push_back(static_cast<uint8_t>(sample.kind));
@@ -43,29 +24,29 @@ void PutSample(std::vector<uint8_t>* out, const MergeableSample& sample) {
   sim::PutVarint(out, sample.entries.size());
   for (const KeyedItem& e : sample.entries) {
     sim::PutVarint(out, e.item.id);
-    PutF64(out, e.item.weight);
-    PutF64(out, e.key);
+    sim::PutF64(out, e.item.weight);
+    sim::PutF64(out, e.key);
   }
   sim::PutVarint(out, sample.withheld.size());
   for (const LeveledKeyedItem& w : sample.withheld) {
     sim::PutVarint(out, w.entry.item.id);
-    PutF64(out, w.entry.item.weight);
-    PutF64(out, w.entry.key);
-    PutZigzag(out, w.level);
+    sim::PutF64(out, w.entry.item.weight);
+    sim::PutF64(out, w.entry.key);
+    sim::PutZigzag(out, w.level);
   }
   sim::PutVarint(out, sample.level_counts.size());
   for (const LevelCount& lc : sample.level_counts) {
-    PutZigzag(out, lc.level);
+    sim::PutZigzag(out, lc.level);
     sim::PutVarint(out, lc.count);
   }
   sim::PutVarint(out, sample.slots.size());
   for (const MergeableSample::Slot& slot : sample.slots) {
     out->push_back(slot.filled ? 1 : 0);
-    PutF64(out, slot.key);
+    sim::PutF64(out, slot.key);
     sim::PutVarint(out, slot.item.id);
-    PutF64(out, slot.item.weight);
+    sim::PutF64(out, slot.item.weight);
   }
-  PutF64(out, sample.scalar);
+  sim::PutF64(out, sample.scalar);
 }
 
 void PutMessageStats(std::vector<uint8_t>* out, const sim::MessageStats& m) {
@@ -76,130 +57,53 @@ void PutMessageStats(std::vector<uint8_t>* out, const sim::MessageStats& m) {
   for (uint64_t v : m.by_type) sim::PutVarint(out, v);
 }
 
-// Sequential decoder: every getter returns a default and latches
-// failure on truncation/malformation, so call sites stay linear and one
-// final ok() check covers the whole body.
-class Decoder {
- public:
-  explicit Decoder(const std::vector<uint8_t>& bytes, size_t pos)
-      : bytes_(bytes), pos_(pos) {}
+MergeableSample ReadSample(sim::ByteReader& r) {
+  MergeableSample s;
+  const uint8_t kind = r.Byte();
+  if (kind > static_cast<uint8_t>(SampleKind::kScalarSum)) {
+    r.Fail();  // past the last SampleKind
+  }
+  s.kind = static_cast<SampleKind>(kind);
+  s.target_size = r.Varint<size_t>();
+  s.state_version = r.Varint();
+  s.entries.resize(r.Count());
+  for (KeyedItem& e : s.entries) {
+    e.item.id = r.Varint();
+    e.item.weight = r.F64();
+    e.key = r.F64();
+  }
+  s.withheld.resize(r.Count());
+  for (LeveledKeyedItem& w : s.withheld) {
+    w.entry.item.id = r.Varint();
+    w.entry.item.weight = r.F64();
+    w.entry.key = r.F64();
+    w.level = r.Zigzag<int>();
+  }
+  s.level_counts.resize(r.Count());
+  for (LevelCount& lc : s.level_counts) {
+    lc.level = r.Zigzag<int>();
+    lc.count = r.Varint();
+  }
+  s.slots.resize(r.Count());
+  for (MergeableSample::Slot& slot : s.slots) {
+    slot.filled = r.Bool();
+    slot.key = r.F64();
+    slot.item.id = r.Varint();
+    slot.item.weight = r.F64();
+  }
+  s.scalar = r.F64();
+  return s;
+}
 
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  uint64_t Varint() {
-    const std::optional<uint64_t> v = sim::GetVarint(bytes_, &pos_);
-    if (!v) return Fail<uint64_t>();
-    return *v;
-  }
-  int64_t Zigzag() {
-    const std::optional<int64_t> v = GetZigzag(bytes_, &pos_);
-    if (!v) return Fail<int64_t>();
-    return *v;
-  }
-  double F64() {
-    const std::optional<double> v = GetF64(bytes_, &pos_);
-    if (!v) return Fail<double>();
-    return *v;
-  }
-  uint64_t U64() {
-    if (pos_ + 8 > bytes_.size()) return Fail<uint64_t>();
-    uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) {
-      x |= static_cast<uint64_t>(bytes_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return x;
-  }
-  uint8_t Byte() {
-    if (pos_ >= bytes_.size()) return Fail<uint8_t>();
-    return bytes_[pos_++];
-  }
-  bool Bool() {
-    const uint8_t b = Byte();
-    if (b > 1) return Fail<bool>();
-    return b == 1;
-  }
-  sim::Payload Msg() {
-    const uint64_t len = Varint();
-    if (!ok_ || pos_ + len > bytes_.size()) return Fail<sim::Payload>();
-    const std::vector<uint8_t> wire(
-        bytes_.begin() + static_cast<ptrdiff_t>(pos_),
-        bytes_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    const std::optional<sim::Payload> msg = sim::DecodePayload(wire);
-    if (!msg) return Fail<sim::Payload>();
-    return *msg;
-  }
-  // Bounds element counts so a corrupted count can't drive a huge
-  // allocation before the CRC... (the CRC already gates entry, but the
-  // decoder is also exercised directly by the fuzz test).
-  size_t Count() {
-    const uint64_t n = Varint();
-    if (n > (1u << 26)) return Fail<size_t>();
-    return static_cast<size_t>(n);
-  }
-
-  MergeableSample Sample() {
-    MergeableSample s;
-    s.kind = static_cast<SampleKind>(Byte());
-    s.target_size = static_cast<size_t>(Varint());
-    s.state_version = Varint();
-    s.entries.resize(Count());
-    if (!ok_) return s;
-    for (KeyedItem& e : s.entries) {
-      e.item.id = Varint();
-      e.item.weight = F64();
-      e.key = F64();
-    }
-    s.withheld.resize(Count());
-    if (!ok_) return s;
-    for (LeveledKeyedItem& w : s.withheld) {
-      w.entry.item.id = Varint();
-      w.entry.item.weight = F64();
-      w.entry.key = F64();
-      w.level = static_cast<int>(Zigzag());
-    }
-    s.level_counts.resize(Count());
-    if (!ok_) return s;
-    for (LevelCount& lc : s.level_counts) {
-      lc.level = static_cast<int>(Zigzag());
-      lc.count = Varint();
-    }
-    s.slots.resize(Count());
-    if (!ok_) return s;
-    for (MergeableSample::Slot& slot : s.slots) {
-      slot.filled = Bool();
-      slot.key = F64();
-      slot.item.id = Varint();
-      slot.item.weight = F64();
-    }
-    s.scalar = F64();
-    return s;
-  }
-
-  sim::MessageStats MessageStats() {
-    sim::MessageStats m;
-    m.site_to_coord = Varint();
-    m.coord_to_site = Varint();
-    m.broadcast_events = Varint();
-    m.words = Varint();
-    for (uint64_t& v : m.by_type) v = Varint();
-    return m;
-  }
-
- private:
-  template <typename T>
-  T Fail() {
-    ok_ = false;
-    return T{};
-  }
-
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_;
-  bool ok_ = true;
-};
+sim::MessageStats ReadMessageStats(sim::ByteReader& r) {
+  sim::MessageStats m;
+  m.site_to_coord = r.Varint();
+  m.coord_to_site = r.Varint();
+  m.broadcast_events = r.Varint();
+  m.words = r.Varint();
+  for (uint64_t& v : m.by_type) v = r.Varint();
+  return m;
+}
 
 bool WriteFileAtomic(const std::string& path,
                      const std::vector<uint8_t>& bytes, std::string* error) {
@@ -209,16 +113,10 @@ bool WriteFileAtomic(const std::string& path,
     *error = "open " + tmp + ": " + std::strerror(errno);
     return false;
   }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      *error = "write " + tmp + ": " + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    off += static_cast<size_t>(w);
+  if (!WriteAll(fd, bytes.data(), bytes.size())) {
+    *error = "write " + tmp + ": " + std::strerror(errno);
+    ::close(fd);
+    return false;
   }
   if (::fsync(fd) != 0) {
     *error = "fsync " + tmp + ": " + std::strerror(errno);
@@ -241,48 +139,18 @@ bool WriteFileAtomic(const std::string& path,
   return true;
 }
 
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return bytes;
-  uint8_t buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-// ckpt-<seq>.bin -> seq; nullopt for anything else.
-std::optional<uint64_t> CheckpointSeqOf(const std::string& name) {
-  constexpr const char* kPrefix = "ckpt-";
-  constexpr const char* kSuffix = ".bin";
-  if (name.rfind(kPrefix, 0) != 0) return std::nullopt;
-  const size_t suffix_at = name.size() - std::strlen(kSuffix);
-  if (name.size() <= std::strlen(kPrefix) + std::strlen(kSuffix) ||
-      name.compare(suffix_at, std::strlen(kSuffix), kSuffix) != 0) {
+// <prefix><seq><suffix> -> seq; nullopt for any other name.
+std::optional<uint64_t> SeqOf(const std::string& name, const char* prefix,
+                              const char* suffix) {
+  const size_t prefix_len = std::strlen(prefix);
+  const size_t suffix_len = std::strlen(suffix);
+  if (name.size() <= prefix_len + suffix_len ||
+      name.compare(0, prefix_len, prefix) != 0 ||
+      name.compare(name.size() - suffix_len, suffix_len, suffix) != 0) {
     return std::nullopt;
   }
   uint64_t seq = 0;
-  for (size_t i = std::strlen(kPrefix); i < suffix_at; ++i) {
-    if (name[i] < '0' || name[i] > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
-std::optional<uint64_t> WalSeqOf(const std::string& name) {
-  constexpr const char* kPrefix = "wal-";
-  constexpr const char* kSuffix = ".log";
-  if (name.rfind(kPrefix, 0) != 0) return std::nullopt;
-  const size_t suffix_at = name.size() - std::strlen(kSuffix);
-  if (name.size() <= std::strlen(kPrefix) + std::strlen(kSuffix) ||
-      name.compare(suffix_at, std::strlen(kSuffix), kSuffix) != 0) {
-    return std::nullopt;
-  }
-  uint64_t seq = 0;
-  for (size_t i = std::strlen(kPrefix); i < suffix_at; ++i) {
+  for (size_t i = prefix_len; i < name.size() - suffix_len; ++i) {
     if (name[i] < '0' || name[i] > '9') return std::nullopt;
     seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
   }
@@ -330,19 +198,19 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
   sim::PutVarint(&body, snap.session_epoch);
   body.push_back(snap.stale ? 1 : 0);
   PutSample(&body, snap.sample);
-  PutF64(&body, snap.threshold);
-  PutF64(&body, snap.l1_estimate);
+  sim::PutF64(&body, snap.threshold);
+  sim::PutF64(&body, snap.l1_estimate);
   PutMessageStats(&body, snap.messages);
 
   const WsworCoordinator::State& coord = c.coordinator;
-  for (uint64_t w : coord.rng) PutU64Le(&body, w);
-  PutZigzag(&body, coord.announced_epoch);
+  for (uint64_t w : coord.rng) sim::PutU64Le(&body, w);
+  sim::PutZigzag(&body, coord.announced_epoch);
   sim::PutVarint(&body, coord.early_received);
   sim::PutVarint(&body, coord.regular_received);
   sim::PutVarint(&body, coord.state_version);
   PutSample(&body, coord.summary);
   sim::PutVarint(&body, coord.saturated_levels.size());
-  for (int level : coord.saturated_levels) PutZigzag(&body, level);
+  for (int level : coord.saturated_levels) sim::PutZigzag(&body, level);
 
   const faults::CoordinatorSession::State& sess = c.session;
   sim::PutVarint(&body, sess.peers.size());
@@ -352,7 +220,7 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
     sim::PutVarint(&body, peer.max_seen_seq);
     sim::PutVarint(&body, peer.last_nacked_expected);
   }
-  PutU64Le(&body, sess.transcript_hash);
+  sim::PutU64Le(&body, sess.transcript_hash);
   sim::PutVarint(&body, sess.delivered);
   sim::PutVarint(&body, sess.duplicates_dropped);
   sim::PutVarint(&body, sess.stale_epoch_dropped);
@@ -369,7 +237,7 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
     sim::PutVarint(&body, s.epoch);
     sim::PutVarint(&body, s.next_seq);
     sim::PutVarint(&body, s.unacked.size());
-    for (const sim::Payload& msg : s.unacked) PutMsg(&body, msg);
+    for (const sim::Payload& msg : s.unacked) sim::PutSizedPayload(&body, msg);
     body.push_back(s.retransmit_pending ? 1 : 0);
     sim::PutVarint(&body, s.retransmit_from);
     sim::PutVarint(&body, s.items_seen);
@@ -387,15 +255,15 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
 
   sim::PutVarint(&body, c.sites.size());
   for (const WsworSite::State& s : c.sites) {
-    for (uint64_t w : s.rng) PutU64Le(&body, w);
+    for (uint64_t w : s.rng) sim::PutU64Le(&body, w);
     body.push_back(s.filter.has_pending ? 1 : 0);
-    PutF64(&body, s.filter.pending);
-    PutF64(&body, s.filter.value);
+    sim::PutF64(&body, s.filter.pending);
+    sim::PutF64(&body, s.filter.value);
     sim::PutVarint(&body, s.filter.decisions);
     sim::PutVarint(&body, s.filter.accepts);
     sim::PutVarint(&body, s.filter.skips_taken);
     sim::PutVarint(&body, s.filter.draws);
-    PutF64(&body, s.threshold);
+    sim::PutF64(&body, s.threshold);
     sim::PutVarint(&body, s.saturated.size());
     body.insert(body.end(), s.saturated.begin(), s.saturated.end());
   }
@@ -407,7 +275,7 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
     sim::PutVarint(&body, ch.held.size());
     for (const auto& [release_at, msg] : ch.held) {
       sim::PutVarint(&body, release_at);
-      PutMsg(&body, msg);
+      sim::PutSizedPayload(&body, msg);
     }
   }
   sim::PutVarint(&body, t.forwarded);
@@ -421,137 +289,122 @@ std::vector<uint8_t> EncodeCheckpoint(const ShardCheckpoint& c) {
 
   std::vector<uint8_t> out(kCheckpointMagic, kCheckpointMagic + 4);
   out.push_back(kCheckpointFormatVersion);
-  PutU32Le(&out, Crc32(body.data(), body.size()));
+  sim::PutU32Le(&out, Crc32(body.data(), body.size()));
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
 
 std::optional<ShardCheckpoint> DecodeCheckpoint(
     const std::vector<uint8_t>& bytes) {
-  constexpr size_t kHeader = 4 + 1 + 4;
-  if (bytes.size() < kHeader ||
-      std::memcmp(bytes.data(), kCheckpointMagic, 4) != 0 ||
-      bytes[4] != kCheckpointFormatVersion) {
-    return std::nullopt;
-  }
-  uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    crc |= static_cast<uint32_t>(bytes[5 + static_cast<size_t>(i)]) << (8 * i);
-  }
-  if (Crc32(bytes.data() + kHeader, bytes.size() - kHeader) != crc) {
+  sim::ByteReader r(bytes);
+  const uint8_t* magic = r.Bytes(sizeof(kCheckpointMagic));
+  const uint8_t version = r.Byte();
+  const uint32_t crc = r.U32Le();
+  if (!r.ok() ||
+      std::memcmp(magic, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0 ||
+      version != kCheckpointFormatVersion ||
+      Crc32(bytes.data() + r.pos(), bytes.size() - r.pos()) != crc) {
     return std::nullopt;
   }
 
-  Decoder d(bytes, kHeader);
   ShardCheckpoint c;
-  c.checkpoint_seq = d.Varint();
-  c.step = d.Varint();
-  c.wal_records_logged = d.Varint();
+  c.checkpoint_seq = r.Varint();
+  c.step = r.Varint();
+  c.wal_records_logged = r.Varint();
 
-  c.snapshot.publish_seq = d.Varint();
-  c.snapshot.state_version = d.Varint();
-  c.snapshot.steps = d.Varint();
-  c.snapshot.session_epoch = d.Varint();
-  c.snapshot.stale = d.Bool();
-  c.snapshot.sample = d.Sample();
-  c.snapshot.threshold = d.F64();
-  c.snapshot.l1_estimate = d.F64();
-  c.snapshot.messages = d.MessageStats();
+  c.snapshot.publish_seq = r.Varint();
+  c.snapshot.state_version = r.Varint();
+  c.snapshot.steps = r.Varint();
+  c.snapshot.session_epoch = r.Varint();
+  c.snapshot.stale = r.Bool();
+  c.snapshot.sample = ReadSample(r);
+  c.snapshot.threshold = r.F64();
+  c.snapshot.l1_estimate = r.F64();
+  c.snapshot.messages = ReadMessageStats(r);
 
-  for (uint64_t& w : c.coordinator.rng) w = d.U64();
-  c.coordinator.announced_epoch = static_cast<int>(d.Zigzag());
-  c.coordinator.early_received = d.Varint();
-  c.coordinator.regular_received = d.Varint();
-  c.coordinator.state_version = d.Varint();
-  c.coordinator.summary = d.Sample();
-  c.coordinator.saturated_levels.resize(d.Count());
-  if (!d.ok()) return std::nullopt;
-  for (int& level : c.coordinator.saturated_levels) {
-    level = static_cast<int>(d.Zigzag());
-  }
+  for (uint64_t& w : c.coordinator.rng) w = r.U64Le();
+  c.coordinator.announced_epoch = r.Zigzag<int>();
+  c.coordinator.early_received = r.Varint();
+  c.coordinator.regular_received = r.Varint();
+  c.coordinator.state_version = r.Varint();
+  c.coordinator.summary = ReadSample(r);
+  c.coordinator.saturated_levels.resize(r.Count());
+  for (int& level : c.coordinator.saturated_levels) level = r.Zigzag<int>();
 
-  c.session.peers.resize(d.Count());
-  if (!d.ok()) return std::nullopt;
+  c.session.peers.resize(r.Count());
   for (faults::CoordinatorSession::PeerState& peer : c.session.peers) {
-    peer.epoch = static_cast<uint32_t>(d.Varint());
-    peer.expected_seq = static_cast<uint32_t>(d.Varint());
-    peer.max_seen_seq = static_cast<uint32_t>(d.Varint());
-    peer.last_nacked_expected = static_cast<uint32_t>(d.Varint());
+    peer.epoch = r.Varint<uint32_t>();
+    peer.expected_seq = r.Varint<uint32_t>();
+    peer.max_seen_seq = r.Varint<uint32_t>();
+    peer.last_nacked_expected = r.Varint<uint32_t>();
   }
-  c.session.transcript_hash = d.U64();
-  c.session.delivered = d.Varint();
-  c.session.duplicates_dropped = d.Varint();
-  c.session.stale_epoch_dropped = d.Varint();
-  c.session.gaps_detected = d.Varint();
-  c.session.nacks_sent = d.Varint();
-  c.session.crash_detections = d.Varint();
-  c.session.resyncs_sent = d.Varint();
+  c.session.transcript_hash = r.U64Le();
+  c.session.delivered = r.Varint();
+  c.session.duplicates_dropped = r.Varint();
+  c.session.stale_epoch_dropped = r.Varint();
+  c.session.gaps_detected = r.Varint();
+  c.session.nacks_sent = r.Varint();
+  c.session.crash_detections = r.Varint();
+  c.session.resyncs_sent = r.Varint();
 
-  c.site_valid.resize(d.Count());
-  if (!d.ok()) return std::nullopt;
-  for (uint8_t& v : c.site_valid) v = d.Byte();
+  c.site_valid.resize(r.Count());
+  for (uint8_t& v : c.site_valid) v = r.Byte();
 
-  c.site_sessions.resize(d.Count());
-  if (!d.ok()) return std::nullopt;
+  c.site_sessions.resize(r.Count());
   for (faults::SiteSession::State& s : c.site_sessions) {
-    s.epoch = static_cast<uint32_t>(d.Varint());
-    s.next_seq = static_cast<uint32_t>(d.Varint());
-    s.unacked.resize(d.Count());
-    if (!d.ok()) return std::nullopt;
-    for (sim::Payload& msg : s.unacked) msg = d.Msg();
-    s.retransmit_pending = d.Bool();
-    s.retransmit_from = static_cast<uint32_t>(d.Varint());
-    s.items_seen = d.Varint();
-    s.down = d.Bool();
-    s.down_remaining = d.Varint();
-    s.crashes = d.Varint();
-    s.lost_unacked = d.Varint();
-    s.items_lost = d.Varint();
-    s.messages_dropped_down = d.Varint();
-    s.retransmits_sent = d.Varint();
-    s.pre_crash_counters.keys_decided = d.Varint();
-    s.pre_crash_counters.key_bits_consumed = d.Varint();
-    s.pre_crash_counters.skips_taken = d.Varint();
+    s.epoch = r.Varint<uint32_t>();
+    s.next_seq = r.Varint<uint32_t>();
+    s.unacked.resize(r.Count());
+    for (sim::Payload& msg : s.unacked) msg = r.SizedPayload();
+    s.retransmit_pending = r.Bool();
+    s.retransmit_from = r.Varint<uint32_t>();
+    s.items_seen = r.Varint();
+    s.down = r.Bool();
+    s.down_remaining = r.Varint();
+    s.crashes = r.Varint();
+    s.lost_unacked = r.Varint();
+    s.items_lost = r.Varint();
+    s.messages_dropped_down = r.Varint();
+    s.retransmits_sent = r.Varint();
+    s.pre_crash_counters.keys_decided = r.Varint();
+    s.pre_crash_counters.key_bits_consumed = r.Varint();
+    s.pre_crash_counters.skips_taken = r.Varint();
   }
 
-  c.sites.resize(d.Count());
-  if (!d.ok()) return std::nullopt;
+  c.sites.resize(r.Count());
   for (WsworSite::State& s : c.sites) {
-    for (uint64_t& w : s.rng) w = d.U64();
-    s.filter.has_pending = d.Bool();
-    s.filter.pending = d.F64();
-    s.filter.value = d.F64();
-    s.filter.decisions = d.Varint();
-    s.filter.accepts = d.Varint();
-    s.filter.skips_taken = d.Varint();
-    s.filter.draws = d.Varint();
-    s.threshold = d.F64();
-    s.saturated.resize(d.Count());
-    if (!d.ok()) return std::nullopt;
-    for (uint8_t& v : s.saturated) v = d.Byte();
+    for (uint64_t& w : s.rng) w = r.U64Le();
+    s.filter.has_pending = r.Bool();
+    s.filter.pending = r.F64();
+    s.filter.value = r.F64();
+    s.filter.decisions = r.Varint();
+    s.filter.accepts = r.Varint();
+    s.filter.skips_taken = r.Varint();
+    s.filter.draws = r.Varint();
+    s.threshold = r.F64();
+    s.saturated.resize(r.Count());
+    for (uint8_t& v : s.saturated) v = r.Byte();
   }
 
-  c.transport.channels.resize(d.Count());
-  if (!d.ok()) return std::nullopt;
+  c.transport.channels.resize(r.Count());
   for (faults::FaultyTransport::ChannelState& ch : c.transport.channels) {
-    ch.next_index = d.Varint();
-    ch.held.resize(d.Count());
-    if (!d.ok()) return std::nullopt;
+    ch.next_index = r.Varint();
+    ch.held.resize(r.Count());
     for (auto& [release_at, msg] : ch.held) {
-      release_at = d.Varint();
-      msg = d.Msg();
+      release_at = r.Varint();
+      msg = r.SizedPayload();
     }
   }
-  c.transport.forwarded = d.Varint();
-  c.transport.dropped = d.Varint();
-  c.transport.duplicated = d.Varint();
-  c.transport.delayed = d.Varint();
-  c.transport.enabled = d.Bool();
+  c.transport.forwarded = r.Varint();
+  c.transport.dropped = r.Varint();
+  c.transport.duplicated = r.Varint();
+  c.transport.delayed = r.Varint();
+  c.transport.enabled = r.Bool();
 
-  c.kills_done = d.Varint();
-  c.last_kill_step = d.Varint();
+  c.kills_done = r.Varint();
+  c.last_kill_step = r.Varint();
 
-  if (!d.ok() || !d.AtEnd()) return std::nullopt;
+  if (!r.done()) return std::nullopt;
   return c;
 }
 
@@ -567,8 +420,8 @@ bool WriteCheckpointFile(const std::string& dir,
   // fallback). Everything older — checkpoints and their WAL segments —
   // is superseded.
   for (const std::string& name : ListDir(dir)) {
-    const std::optional<uint64_t> ckpt_seq = CheckpointSeqOf(name);
-    const std::optional<uint64_t> wal_seq = WalSeqOf(name);
+    const std::optional<uint64_t> ckpt_seq = SeqOf(name, "ckpt-", ".bin");
+    const std::optional<uint64_t> wal_seq = SeqOf(name, "wal-", ".log");
     const bool stale_ckpt =
         ckpt_seq && checkpoint.checkpoint_seq >= 1 &&
         *ckpt_seq < checkpoint.checkpoint_seq - 1;
@@ -584,15 +437,16 @@ bool WriteCheckpointFile(const std::string& dir,
 std::optional<ShardCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
   std::vector<uint64_t> seqs;
   for (const std::string& name : ListDir(dir)) {
-    if (const std::optional<uint64_t> seq = CheckpointSeqOf(name)) {
+    if (const std::optional<uint64_t> seq = SeqOf(name, "ckpt-", ".bin")) {
       seqs.push_back(*seq);
     }
   }
   std::sort(seqs.rbegin(), seqs.rend());
   for (uint64_t seq : seqs) {
-    const std::vector<uint8_t> bytes =
+    const std::optional<std::vector<uint8_t>> bytes =
         ReadFileBytes(CheckpointPath(dir, seq));
-    if (std::optional<ShardCheckpoint> c = DecodeCheckpoint(bytes)) {
+    if (!bytes) continue;
+    if (std::optional<ShardCheckpoint> c = DecodeCheckpoint(*bytes)) {
       return c;
     }
     // Corrupt or torn: fall back to the previous generation.

@@ -52,12 +52,8 @@ void FoldInto(WalStats* total, const WalStats& s) {
 // --- DurableCoordinator -----------------------------------------------
 
 DurableCoordinator::DurableCoordinator(faults::CoordinatorSession* session,
-                                       WsworCoordinator* coordinator,
-                                       bool log_decisions)
-    : session_(session),
-      coordinator_(coordinator),
-      log_decisions_(log_decisions) {
-  if (!log_decisions_) return;
+                                       WsworCoordinator* coordinator)
+    : session_(session), coordinator_(coordinator) {
   // Sample-membership changes fire inside OnMessage, on the thread that
   // owns the coordinator; OnMessage emits them after the arrival.
   coordinator_->set_sample_delta_hook(
@@ -95,7 +91,6 @@ void DurableCoordinator::OnMessage(int site, const sim::Payload& msg) {
   const uint64_t threshold_before = Bits(coordinator_->Threshold());
   const int epoch_before = coordinator_->announced_epoch();
   session_->OnMessage(site, msg);
-  if (!log_decisions_) return;
   // Decision audit, in a fixed order (deltas, threshold, epoch) so the
   // live log and the replay regeneration are comparable sequences.
   for (const WalRecord& delta : pending_deltas_) EmitDecision(delta);
@@ -143,8 +138,8 @@ void DurableWswor::BuildStack() {
       config_, schedule_.config(), backend_, trace_shard_,
       [this](WsworCoordinator& coordinator,
              faults::CoordinatorSession& session) {
-        durable_coordinator_ = std::make_unique<DurableCoordinator>(
-            &session, &coordinator, options_.log_decisions);
+        durable_coordinator_ =
+            std::make_unique<DurableCoordinator>(&session, &coordinator);
         return durable_coordinator_.get();
       });
 }
@@ -163,14 +158,10 @@ void DurableWswor::TearDownStack(bool abandon_pending) {
   durable_coordinator_.reset();
 }
 
-void DurableWswor::OpenSegment(uint64_t seq, bool truncate) {
-  WalWriterOptions wal_options;
-  wal_options.fsync_commits = options_.fsync_commits;
-  wal_options.group_commit = options_.background_flush;
-  wal_options.flush_interval_us = options_.flush_interval_us;
-  wal_options.flush_bytes = options_.flush_bytes;
-  wal_ = std::make_unique<WalWriter>(WalSegmentPath(options_.dir, seq),
-                                     wal_options, truncate);
+void DurableWswor::OpenSegment(uint64_t seq) {
+  wal_ = std::make_unique<WalWriter>(
+      WalSegmentPath(options_.dir, seq),
+      WalWriterOptions{.fsync_commits = options_.fsync_commits});
   DWRS_CHECK(wal_->ok()) << " wal open failed: " << wal_->error();
   durable_coordinator_->set_wal(wal_.get());
 }
@@ -265,7 +256,7 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
     event.shard = static_cast<int16_t>(trace_shard_);
     obs::Emit(event);
   }
-  OpenSegment(checkpoint_seq_, /*truncate=*/true);
+  OpenSegment(checkpoint_seq_);
 }
 
 bool DurableWswor::Recover() {
@@ -381,15 +372,13 @@ bool DurableWswor::Recover() {
   last_recovery_.wal_records_replayed = static_cast<uint64_t>(cut);
   wal_records_replayed_ += static_cast<uint64_t>(cut);
 
-  if (options_.log_decisions) {
-    if (regenerated.size() != logged_decisions.size()) {
-      last_recovery_.consistent = false;
-    } else {
-      for (size_t i = 0; i < regenerated.size(); ++i) {
-        if (!DecisionEquals(regenerated[i], *logged_decisions[i])) {
-          last_recovery_.consistent = false;
-          break;
-        }
+  if (regenerated.size() != logged_decisions.size()) {
+    last_recovery_.consistent = false;
+  } else {
+    for (size_t i = 0; i < regenerated.size(); ++i) {
+      if (!DecisionEquals(regenerated[i], *logged_decisions[i])) {
+        last_recovery_.consistent = false;
+        break;
       }
     }
   }
@@ -406,7 +395,7 @@ bool DurableWswor::Recover() {
 
   if (!last_recovery_.recovered) {
     // Fresh directory: genesis segment, no checkpoint yet.
-    OpenSegment(0, /*truncate=*/true);
+    OpenSegment(0);
     return false;
   }
   ++recoveries_;

@@ -11,9 +11,10 @@
 // WAL + rotation lifecycle (one directory per shard):
 //
 //   wal-<c>.log   records logged after checkpoint c (wal-0.log from
-//                 genesis). Appends group-commit at step boundaries
-//                 (commit_interval_steps); the durable step is the last
-//                 committed kStepMark.
+//                 genesis), always written into a freshly created file.
+//                 Appends buffer in memory and are committed only at
+//                 step boundaries, every commit_interval_steps; the
+//                 durable step is the last committed kStepMark.
 //   ckpt-<c>.bin  full stack state at a quiesce point (checkpoint.h),
 //                 written atomically every checkpoint_interval_steps;
 //                 writing checkpoint c rotates logging to wal-<c>.log
@@ -111,13 +112,12 @@ class CaptureTransport : public sim::Transport {
 // arrival stream. Live, it write-ahead-logs every arrival (and, after
 // processing, the decision records the arrival caused); during replay
 // it re-feeds logged arrivals and captures the regenerated decisions
-// for the cross-check. With `log_decisions` it installs itself as the
-// coordinator's sample-delta hook, so it must outlive the coordinator's
-// last message.
+// for the cross-check. It installs itself as the coordinator's
+// sample-delta hook, so it must outlive the coordinator's last message.
 class DurableCoordinator : public sim::CoordinatorNode {
  public:
   DurableCoordinator(faults::CoordinatorSession* session,
-                     WsworCoordinator* coordinator, bool log_decisions);
+                     WsworCoordinator* coordinator);
 
   // Live mode: append records to `wal` (null disables logging).
   void set_wal(WalWriter* wal) { wal_ = wal; }
@@ -136,7 +136,6 @@ class DurableCoordinator : public sim::CoordinatorNode {
 
   faults::CoordinatorSession* const session_;
   WsworCoordinator* const coordinator_;
-  const bool log_decisions_;
   WalWriter* wal_ = nullptr;
   std::vector<WalRecord>* capture_ = nullptr;
   uint64_t records_logged_ = 0;
@@ -155,15 +154,6 @@ struct DurabilityOptions {
   // fdatasync on every commit (power-loss durability; kill -9 survival
   // only needs the kernel write).
   bool fsync_commits = false;
-  // Background group-commit flush worker (WalWriterOptions) in addition
-  // to the step-boundary commits. Throughput mode for the CLI/bench; the
-  // deterministic kill/recover tests keep it off so the durable step is
-  // a pure function of the seed.
-  bool background_flush = false;
-  uint64_t flush_interval_us = 2000;
-  size_t flush_bytes = 256 * 1024;
-  // Log + cross-check decision audit records.
-  bool log_decisions = true;
 };
 
 // Outcome of one Recover() pass.
@@ -241,7 +231,7 @@ class DurableWswor {
   // a fresh segment either way.
   bool Recover();
   void WriteCheckpoint(uint64_t step);
-  void OpenSegment(uint64_t seq, bool truncate);
+  void OpenSegment(uint64_t seq);
   void CloseSegment();
   void AppendHarnessRecord(const WalRecord& record);
   ShardCheckpoint CaptureCheckpoint(uint64_t step) const;

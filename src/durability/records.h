@@ -23,10 +23,10 @@
 //     kSampleDelta    sample membership changed: `added` entered S,
 //                     optionally evicting `evicted_id`.
 //
-// Integers are LEB128 varints (sim::PutVarint), doubles raw IEEE 754
-// little-endian, matching the message codec's conventions. Golden byte
-// vectors for every type are pinned in tests/codec_test.cc — the
-// on-disk format is a compatibility surface.
+// Fields are written and read with sim/codec's byte helpers (LEB128
+// varints, raw IEEE 754 little-endian doubles), the message codec's
+// conventions. Golden byte vectors for every type are pinned in
+// tests/codec_test.cc — the on-disk format is a compatibility surface.
 
 #ifndef DWRS_DURABILITY_RECORDS_H_
 #define DWRS_DURABILITY_RECORDS_H_
@@ -78,14 +78,8 @@ struct WalRecord {
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
 
 // nullopt on any malformed input (unknown type, truncation, trailing
-// bytes, inner payload decode failure).
+// bytes, a field out of range, inner payload decode failure).
 std::optional<WalRecord> DecodeWalRecord(const std::vector<uint8_t>& bytes);
-
-// Shared primitives with the checkpoint codec (checkpoint.cc).
-void PutF64(std::vector<uint8_t>* out, double x);
-std::optional<double> GetF64(const std::vector<uint8_t>& in, size_t* pos);
-void PutZigzag(std::vector<uint8_t>* out, int64_t x);
-std::optional<int64_t> GetZigzag(const std::vector<uint8_t>& in, size_t* pos);
 
 }  // namespace dwrs::durability
 

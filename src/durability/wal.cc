@@ -5,12 +5,11 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "obs/trace.h"
+#include "sim/codec.h"
 #include "util/check.h"
 
 namespace dwrs::durability {
@@ -29,21 +28,13 @@ std::array<uint32_t, 256> MakeCrcTable() {
   return table;
 }
 
-void PutU32Le(std::vector<uint8_t>* out, uint32_t x) {
-  out->push_back(static_cast<uint8_t>(x));
-  out->push_back(static_cast<uint8_t>(x >> 8));
-  out->push_back(static_cast<uint8_t>(x >> 16));
-  out->push_back(static_cast<uint8_t>(x >> 24));
-}
-
-uint32_t GetU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
 // A single frame may not dwarf the file: a corrupted length field would
 // otherwise make the reader attempt a multi-gigabyte allocation.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
+
+std::string ErrnoText(const char* what) {
+  return std::string(what) + " failed: " + std::strerror(errno);
+}
 
 }  // namespace
 
@@ -56,65 +47,12 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-WalWriter::WalWriter(const std::string& path, const WalWriterOptions& options,
-                     bool truncate)
-    : path_(path), options_(options) {
-  const int flags =
-      truncate ? (O_CREAT | O_WRONLY | O_TRUNC) : (O_CREAT | O_WRONLY);
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) {
-    error_ = "open failed: " + std::string(std::strerror(errno));
-    return;
-  }
-  if (truncate) {
-    std::vector<uint8_t> header(kWalMagic, kWalMagic + 4);
-    header.push_back(kWalFormatVersion);
-    if (!WriteAll(header.data(), header.size())) return;
-  } else {
-    if (::lseek(fd_, 0, SEEK_END) < 0) {
-      error_ = "lseek failed: " + std::string(std::strerror(errno));
-      return;
-    }
-  }
-  if (options_.group_commit) {
-    flush_worker_ = std::thread([this] { FlushWorkerMain(); });
-  }
-}
-
-WalWriter::~WalWriter() { Close(); }
-
-size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
-  DWRS_CHECK_LE(payload.size(), static_cast<size_t>(kMaxFrameBytes));
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  bool wake = false;
-  size_t framed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    PutU32Le(&pending_, static_cast<uint32_t>(payload.size()));
-    PutU32Le(&pending_, crc);
-    pending_.insert(pending_.end(), payload.begin(), payload.end());
-    framed = payload.size() + kWalFrameOverhead;
-    ++stats_.appends;
-    stats_.bytes_appended += framed;
-    wake = options_.group_commit && pending_.size() >= options_.flush_bytes;
-  }
-  if (obs::TracingEnabled()) {
-    obs::TraceEvent event;
-    event.type = obs::EventType::kWalAppend;
-    event.a = framed;
-    obs::Emit(event);
-  }
-  if (wake) flush_cv_.notify_one();
-  return framed;
-}
-
-bool WalWriter::WriteAll(const uint8_t* data, size_t n) {
+bool WriteAll(int fd, const uint8_t* data, size_t n) {
   size_t off = 0;
   while (off < n) {
-    const ssize_t w = ::write(fd_, data + off, n - off);
+    const ssize_t w = ::write(fd, data + off, n - off);
     if (w < 0) {
       if (errno == EINTR) continue;
-      error_ = "write failed: " + std::string(std::strerror(errno));
       return false;
     }
     off += static_cast<size_t>(w);
@@ -122,38 +60,89 @@ bool WalWriter::WriteAll(const uint8_t* data, size_t n) {
   return true;
 }
 
-bool WalWriter::CommitLocked(std::unique_lock<std::mutex>& lock) {
+std::optional<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::vector<uint8_t> bytes;
+  uint8_t buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+WalWriter::WalWriter(const std::string& path, const WalWriterOptions& options)
+    : path_(path), options_(options) {
+  fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (fd_ < 0) {
+    error_ = ErrnoText("open");
+    return;
+  }
+  std::vector<uint8_t> header(kWalMagic, kWalMagic + 4);
+  header.push_back(kWalFormatVersion);
+  if (!WriteAll(fd_, header.data(), header.size())) error_ = ErrnoText("write");
+}
+
+WalWriter::~WalWriter() { Close(); }
+
+size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
+  DWRS_CHECK_LE(payload.size(), static_cast<size_t>(kMaxFrameBytes));
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const size_t framed = payload.size() + kWalFrameOverhead;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sim::PutU32Le(&pending_, static_cast<uint32_t>(payload.size()));
+    sim::PutU32Le(&pending_, crc);
+    pending_.insert(pending_.end(), payload.begin(), payload.end());
+    ++stats_.appends;
+    stats_.bytes_appended += framed;
+  }
+  if (obs::TracingEnabled()) {
+    obs::TraceEvent event;
+    event.type = obs::EventType::kWalAppend;
+    event.a = framed;
+    obs::Emit(event);
+  }
+  return framed;
+}
+
+bool WalWriter::SyncLocked() {
+  if (::fdatasync(fd_) != 0) {
+    error_ = ErrnoText("fdatasync");
+    return false;
+  }
+  ++stats_.fsyncs;
+  return true;
+}
+
+bool WalWriter::CommitLocked() {
   if (pending_.empty()) return error_.empty();
-  // Swap the buffer out so appenders keep enqueueing while the kernel
-  // write (and fsync) proceeds unlocked — the group-commit point.
-  std::vector<uint8_t> batch;
-  batch.swap(pending_);
-  lock.unlock();
-  const bool write_ok = WriteAll(batch.data(), batch.size());
-  bool fsync_ok = true;
-  if (write_ok && options_.fsync_commits) {
-    fsync_ok = ::fdatasync(fd_) == 0;
-    if (!fsync_ok) {
-      error_ = "fdatasync failed: " + std::string(std::strerror(errno));
-    }
+  bool ok = WriteAll(fd_, pending_.data(), pending_.size());
+  if (ok) {
+    stats_.bytes_committed += pending_.size();
+    if (options_.fsync_commits) ok = SyncLocked();
+  } else {
+    error_ = ErrnoText("write");
   }
   if (obs::TracingEnabled()) {
     obs::TraceEvent event;
     event.type = obs::EventType::kWalFsync;
-    event.a = batch.size();
+    event.a = pending_.size();
     obs::Emit(event);
   }
-  lock.lock();
   ++stats_.commits;
-  if (write_ok && options_.fsync_commits && fsync_ok) ++stats_.fsyncs;
-  if (write_ok) stats_.bytes_committed += batch.size();
-  return write_ok && fsync_ok;
+  // The buffer keeps its capacity: the next commit's appends don't
+  // re-grow it.
+  pending_.clear();
+  return ok;
 }
 
 bool WalWriter::Commit() {
   if (fd_ < 0) return false;
-  std::unique_lock<std::mutex> lock(mutex_);
-  return CommitLocked(lock);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return CommitLocked();
 }
 
 void WalWriter::AbandonPending() {
@@ -162,29 +151,9 @@ void WalWriter::AbandonPending() {
 }
 
 bool WalWriter::Close() {
-  if (flush_worker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_worker_ = true;
-    }
-    flush_cv_.notify_one();
-    flush_worker_.join();
-  }
   if (fd_ < 0) return error_.empty();
-  bool ok = true;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ok = CommitLocked(lock);
-  }
-  if (ok) {
-    if (::fdatasync(fd_) != 0) {
-      error_ = "fdatasync failed: " + std::string(std::strerror(errno));
-      ok = false;
-    } else {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.fsyncs;
-    }
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  const bool ok = CommitLocked() && SyncLocked();
   ::close(fd_);
   fd_ = -1;
   return ok && error_.empty();
@@ -200,58 +169,38 @@ WalStats WalWriter::stats() const {
   return stats_;
 }
 
-void WalWriter::FlushWorkerMain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_worker_) {
-    flush_cv_.wait_for(
-        lock, std::chrono::microseconds(options_.flush_interval_us), [this] {
-          return stop_worker_ || pending_.size() >= options_.flush_bytes;
-        });
-    if (stop_worker_) break;
-    CommitLocked(lock);
-  }
-}
-
 WalReadResult ReadWalFile(const std::string& path) {
   WalReadResult out;
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    out.error = "open failed: " + std::string(std::strerror(errno));
+  const std::optional<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  if (!bytes) {
+    out.error = ErrnoText("open");
     return out;
   }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-
-  if (bytes.size() < kWalHeaderSize ||
-      std::memcmp(bytes.data(), kWalMagic, 4) != 0) {
+  sim::ByteReader r(*bytes);
+  const uint8_t* magic = r.Bytes(sizeof(kWalMagic));
+  const uint8_t version = r.Byte();
+  if (!r.ok() || std::memcmp(magic, kWalMagic, sizeof(kWalMagic)) != 0) {
     out.error = "bad WAL magic";
     return out;
   }
-  if (bytes[4] != kWalFormatVersion) {
-    out.error = "unsupported WAL format version " + std::to_string(bytes[4]);
+  if (version != kWalFormatVersion) {
+    out.error = "unsupported WAL format version " + std::to_string(version);
     return out;
   }
   out.ok = true;
-  size_t pos = kWalHeaderSize;
-  while (pos + kWalFrameOverhead <= bytes.size()) {
-    const uint32_t len = GetU32Le(bytes.data() + pos);
-    const uint32_t crc = GetU32Le(bytes.data() + pos + 4);
-    if (len > kMaxFrameBytes ||
-        pos + kWalFrameOverhead + len > bytes.size()) {
-      break;  // torn or garbage length field: end of valid prefix
-    }
-    const uint8_t* payload = bytes.data() + pos + kWalFrameOverhead;
-    if (Crc32(payload, len) != crc) break;  // bit flip or torn payload
+  out.valid_bytes = r.pos();
+  for (;;) {
+    const uint32_t len = r.U32Le();
+    const uint32_t crc = r.U32Le();
+    // A garbage length field, a frame running past EOF (torn) or a CRC
+    // mismatch (bit flip, torn payload) ends the valid prefix.
+    if (len > kMaxFrameBytes) break;
+    const uint8_t* payload = r.Bytes(len);
+    if (!r.ok() || Crc32(payload, len) != crc) break;
     out.payloads.emplace_back(payload, payload + len);
-    pos += kWalFrameOverhead + len;
+    out.valid_bytes = r.pos();
   }
-  out.valid_bytes = pos;
-  out.truncated_tail = pos < bytes.size();
+  out.truncated_tail = out.valid_bytes < bytes->size();
   return out;
 }
 

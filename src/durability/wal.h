@@ -1,7 +1,7 @@
 // Write-ahead log: CRC32-framed, length-prefixed records in an
-// append-only file, with group commit so the ingest hot path only
-// enqueues bytes and a flush worker (or the step loop, in deterministic
-// mode) pays the write+fsync cost.
+// append-only file, with group commit: the ingest hot path only
+// enqueues bytes, and the owner's Commit() at a step boundary
+// (durable_shard.h) pays the write+fsync cost.
 //
 // File format (all fixed-width integers little-endian):
 //
@@ -29,12 +29,11 @@
 #ifndef DWRS_DURABILITY_WAL_H_
 #define DWRS_DURABILITY_WAL_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace dwrs::durability {
@@ -49,17 +48,17 @@ inline constexpr size_t kWalFrameOverhead = 8;  // length + crc
 // classic check vector: Crc32 of "123456789" is 0xCBF43926.
 uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 
+// File helpers the WAL and the checkpoint files share. WriteAll writes
+// all n bytes, retrying on EINTR; false (errno set) on failure.
+// ReadFileBytes returns the whole file, or nullopt (errno set) when it
+// cannot be opened.
+bool WriteAll(int fd, const uint8_t* data, size_t n);
+std::optional<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
+
 struct WalWriterOptions {
   // fdatasync after every Commit (the durability boundary; without it a
   // commit survives process death but not power loss).
   bool fsync_commits = false;
-  // Group commit: a background flush worker commits every
-  // flush_interval_us, or as soon as flush_bytes are pending. With
-  // group_commit false the owner calls Commit() itself (the
-  // deterministic harness commits at step boundaries).
-  bool group_commit = false;
-  uint64_t flush_interval_us = 2000;
-  size_t flush_bytes = 256 * 1024;
 };
 
 struct WalStats {
@@ -70,16 +69,14 @@ struct WalStats {
   uint64_t bytes_committed = 0;  // framed bytes handed to the kernel
 };
 
-// Single-writer append handle for one WAL segment file. Append() is the
-// hot-path entry; with group commit enabled it is safe against the flush
-// worker (one mutex-protected buffer swap per commit), otherwise the
-// owner thread does everything.
+// Append handle for one WAL segment file. Append() is the hot-path
+// entry. The mutex lets appends (from the coordinator's thread) and
+// commits (from the feeder's) come from different threads.
 class WalWriter {
  public:
-  // Creates (truncating) or appends to `path`; a new file gets the
-  // header. ok() is false (with error()) on any I/O failure.
-  WalWriter(const std::string& path, const WalWriterOptions& options,
-            bool truncate = true);
+  // Creates (truncating) `path` and writes the header. ok() is false
+  // (with error()) on any I/O failure.
+  WalWriter(const std::string& path, const WalWriterOptions& options);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -110,9 +107,8 @@ class WalWriter {
   WalStats stats() const;
 
  private:
-  bool WriteAll(const uint8_t* data, size_t n);
-  bool CommitLocked(std::unique_lock<std::mutex>& lock);
-  void FlushWorkerMain();
+  bool CommitLocked();
+  bool SyncLocked();
 
   std::string path_;
   WalWriterOptions options_;
@@ -122,10 +118,6 @@ class WalWriter {
   mutable std::mutex mutex_;
   std::vector<uint8_t> pending_;
   WalStats stats_;
-
-  std::thread flush_worker_;
-  std::condition_variable flush_cv_;
-  bool stop_worker_ = false;
 };
 
 // Result of scanning one WAL segment.

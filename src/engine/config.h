@@ -17,12 +17,6 @@ struct EngineConfig {
   // box run k = 10^5..10^6 sites.
   int num_workers = 0;
 
-  // When true (default), a worker whose own run queue is dry steals
-  // runnable sites from the back of other workers' queues, so skewed
-  // per-site load spreads across the pool. When false, each site only
-  // ever runs on its home worker — stronger locality, no load balancing.
-  bool work_stealing = true;
-
   // Items per ingestion batch. The feeder buffers this many items per site
   // before handing them to the site worker in one queue operation, so the
   // per-item synchronization cost is one atomic op amortized over the

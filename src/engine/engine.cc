@@ -150,13 +150,11 @@ void Engine::Flush() {
   if (!started_) Start();
   // Caller-runs: this thread is about to block until the sites drain, so
   // it runs them itself rather than wake a worker and wait for it — on a
-  // busy or single CPU that wake is a context switch per flush. Home-only
-  // mode keeps wake-and-wait (a site runs only on its home worker).
-  const bool caller_runs = config_.work_stealing;
+  // busy or single CPU that wake is a context switch per flush.
   for (int site = 0; site < config_.num_sites; ++site) {
-    HandOffBatch(site, /*wake=*/!caller_runs);
+    HandOffBatch(site, /*wake=*/false);
   }
-  if (caller_runs) scheduler_->RunQueuedSites();
+  scheduler_->RunQueuedSites();
   WaitQuiesce();
   CollectSiteCounters();
 }

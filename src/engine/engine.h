@@ -26,14 +26,14 @@
 //
 // Ingestion (Push/Run/Flush) is single-threaded by contract: the calling
 // thread is the feeder and the single producer of every item queue.
-// With work stealing on (the default), Flush runs queued sites on the
-// calling thread before it waits (caller-runs dispatch, see
-// engine/scheduler.h), so the thread calling Flush — and with it Run and
-// RunPaced, which flush at the end and, step-synchronously (an on_step
-// hook or config().step_synchronous), after every event — may execute
-// site endpoint callbacks itself. Such a callback runs exactly as it
-// would on a pool worker: one at a time per site, under the same
-// happens-before edges. It must therefore never wait for the feeder.
+// Flush runs queued sites on the calling thread before it waits
+// (caller-runs dispatch, see engine/scheduler.h), so the thread calling
+// Flush — and with it Run and RunPaced, which flush at the end and,
+// step-synchronously (an on_step hook or config().step_synchronous),
+// after every event — may execute site endpoint callbacks itself. Such a
+// callback runs exactly as it would on a pool worker: one at a time per
+// site, under the same happens-before edges. It must therefore never
+// wait for the feeder.
 //
 // Teardown: endpoints are non-owned and worker threads call into them,
 // so an endpoint must never be destroyed while the engine is running
@@ -123,9 +123,9 @@ class Engine : public sim::Transport {
   // Hands off all partial batches and blocks until the engine is fully
   // quiescent: all item queues drained, all messages processed, no
   // endpoint callback running. On return, querying endpoints is legal.
-  // With work stealing on, the hand-off wakes no pool worker: this
-  // thread runs the queued sites itself, wakes the pool only if
-  // something is still queued, and then waits.
+  // The hand-off wakes no pool worker: this thread runs the queued
+  // sites itself, wakes the pool only if something is still queued, and
+  // then waits.
   void Flush();
 
   // Runs the full workload and ends with Flush(). If `on_step` is set the

@@ -21,7 +21,6 @@ Scheduler::Scheduler(const EngineConfig& config, QuiesceBus* bus,
                      EngineStats* stats)
     : control_poll_stride_(config.control_poll_stride),
       dispatch_quantum_(config.item_queue_batches),
-      work_stealing_(config.work_stealing),
       trace_shard_(config.trace_shard),
       bus_(bus),
       stats_(stats) {
@@ -92,20 +91,14 @@ void Scheduler::Enqueue(LogicalSite* site, int worker, bool wake) {
   // Counted after the push so a waker that sees the hint always finds the
   // site (the reverse order would let a woken worker scan, find nothing,
   // and spin until the push lands).
-  w.queued.fetch_add(1);
   ready_.fetch_add(1);
   if (wake) WakeWorkers();
 }
 
 void Scheduler::WakeWorkers() {
+  // Any worker can serve any runnable site.
   std::lock_guard<std::mutex> lock(park_mutex_);
-  if (work_stealing_) {
-    // Any worker can serve any runnable site.
-    park_cv_.notify_one();
-  } else {
-    // Only the home worker can; notify_all guarantees it wakes.
-    park_cv_.notify_all();
-  }
+  park_cv_.notify_one();
 }
 
 void Scheduler::NotifySite(LogicalSite* site, bool wake) {
@@ -181,7 +174,6 @@ LogicalSite* Scheduler::DequeueLocal(Worker& me) {
   if (me.queue.empty()) return nullptr;
   LogicalSite* site = me.queue.front();
   me.queue.pop_front();
-  me.queued.fetch_sub(1);
   ready_.fetch_sub(1);
   return site;
 }
@@ -196,7 +188,6 @@ LogicalSite* Scheduler::Steal(int thief) {
     // and the site coldest in the victim's cache.
     LogicalSite* site = victim.queue.back();
     victim.queue.pop_back();
-    victim.queued.fetch_sub(1);
     ready_.fetch_sub(1);
     stats_->steals.fetch_add(1, std::memory_order_relaxed);
     if (obs::TracingEnabled()) {
@@ -332,7 +323,6 @@ void Scheduler::RunSite(int worker, LogicalSite* site) {
 }
 
 void Scheduler::RunQueuedSites() {
-  DWRS_CHECK(work_stealing_) << " caller-runs dispatch needs work stealing";
   const int caller = num_workers();
   uint64_t dispatches = 0;
   for (bool found = true; found;) {
@@ -355,7 +345,7 @@ void Scheduler::WorkerMain(int worker) {
   Worker& me = *workers_[static_cast<size_t>(worker)];
   for (;;) {
     LogicalSite* site = DequeueLocal(me);
-    if (site == nullptr && work_stealing_) site = Steal(worker);
+    if (site == nullptr) site = Steal(worker);
     if (site != nullptr) {
       RunSite(worker, site);
       continue;
@@ -365,7 +355,7 @@ void Scheduler::WorkerMain(int worker) {
     // Recheck under the park mutex: a producer that enqueued after our
     // scan either sees its ready hint here or its notify blocks on the
     // mutex until we release it in wait().
-    if (Runnable(me)) continue;
+    if (ready_.load() > 0) continue;
     stats_->worker_parks.fetch_add(1, std::memory_order_relaxed);
     if (obs::TracingEnabled()) {
       obs::TraceEvent event;

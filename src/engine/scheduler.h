@@ -40,15 +40,13 @@
 // even though consecutive dispatches of one site may run on different
 // threads.
 //
-// Caller-runs dispatch (RunQueuedSites, Engine::Flush's path): with work
-// stealing on, the thread about to wait for quiescence queues its
-// partial batches without waking a pool worker and then runs the queued
-// sites itself — dequeued under the run-queue mutex and taken with the
-// same exchange a stealing worker uses — until no run queue holds a
-// site. A step-synchronous step whose items send no message then costs
-// no futex wake and no context switch: the feeder hands the item to
-// itself. Home-only mode never does this, since its contract is that a
-// site runs only on its home worker.
+// Caller-runs dispatch (RunQueuedSites, Engine::Flush's path): the
+// thread about to wait for quiescence queues its partial batches without
+// waking a pool worker and then runs the queued sites itself — dequeued
+// under the run-queue mutex and taken with the same exchange a stealing
+// worker uses — until no run queue holds a site. A step-synchronous step
+// whose items send no message then costs no futex wake and no context
+// switch: the feeder hands the item to itself.
 //
 // Quiesce accounting is aggregate: one pushed counter incremented before
 // any unit (item batch or control message) is enqueued, one done counter
@@ -113,8 +111,8 @@ class Scheduler {
   // Caller-runs dispatch (see the header comment): runs queued sites on
   // the calling thread until no run queue holds one, then wakes the pool
   // if anything is still queued. Each dispatch counts in
-  // stats->flush_dispatches and traces as worker num_workers(). Work-
-  // stealing mode only; feeder thread only.
+  // stats->flush_dispatches and traces as worker num_workers(). Feeder
+  // thread only.
   void RunQueuedSites();
 
   // Coordinator side. Never blocks (control channels are unbounded to
@@ -140,14 +138,10 @@ class Scheduler {
 
  private:
   // One worker thread's scheduling state. The queue holds sites in state
-  // kQueued; `queued` mirrors queue.size() as an atomic so the no-steal
-  // park predicate can read it without the queue mutex (transiently
-  // negative while a pop races its producer's increment — harmless, the
-  // predicate only asks "certainly nonempty?").
+  // kQueued.
   struct Worker {
     std::mutex mutex;
     std::deque<LogicalSite*> queue;  // front: own pops; back: steals
-    std::atomic<int64_t> queued{0};
     std::thread thread;
   };
 
@@ -163,13 +157,9 @@ class Scheduler {
   void Enqueue(LogicalSite* site, int worker, bool wake);
   void WakeWorkers();
   int Home(const LogicalSite& site) const { return site.site % num_workers(); }
-  bool Runnable(const Worker& me) const {
-    return work_stealing_ ? ready_.load() > 0 : me.queued.load() > 0;
-  }
 
   const size_t control_poll_stride_;
   const size_t dispatch_quantum_;  // batches per dispatch before requeue
-  const bool work_stealing_;
   const int trace_shard_;
   QuiesceBus* const bus_;
   EngineStats* const stats_;
@@ -183,8 +173,9 @@ class Scheduler {
 
   // Runnable-site hint for the park predicate: incremented after an
   // enqueue, decremented after a dequeue/steal, so > 0 whenever some
-  // queue is certainly nonempty (transiently negative like
-  // Worker::queued).
+  // queue is certainly nonempty (transiently negative while a pop races
+  // its producer's increment — harmless, the predicate only asks
+  // "certainly nonempty?").
   std::atomic<int64_t> ready_{0};
 
   std::mutex park_mutex_;  // idle workers park here (the shared bus)

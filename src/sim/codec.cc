@@ -10,25 +10,37 @@ constexpr uint8_t kHasY = 2;
 constexpr uint8_t kHasSeq = 4;
 constexpr uint8_t kHasEpoch = 8;
 
-void PutDouble(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(bits >> (8 * i)));
+// Element counts past this are corruption, not data.
+constexpr uint64_t kMaxCount = uint64_t{1} << 26;
+
+void PutFixedLe(std::vector<uint8_t>* out, uint64_t x, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out->push_back(static_cast<uint8_t>(x >> (8 * i)));
   }
 }
 
-std::optional<double> GetDouble(const std::vector<uint8_t>& in, size_t* pos) {
-  if (*pos + 8 > in.size()) return std::nullopt;
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(in[*pos + static_cast<size_t>(i)])
-            << (8 * i);
+// Decodes the payload spanning exactly [data, data + size).
+std::optional<Payload> DecodeSpan(const uint8_t* data, size_t size) {
+  ByteReader r(data, size);
+  Payload msg;
+  msg.type = r.Varint<uint32_t>();
+  msg.a = r.Varint();
+  const uint8_t flags = r.Byte();
+  if (flags & ~(kHasX | kHasY | kHasSeq | kHasEpoch)) r.Fail();
+  // A flagged seq/epoch that encodes 0 is non-canonical.
+  if (flags & kHasSeq) {
+    msg.seq = r.Varint<uint32_t>();
+    if (msg.seq == 0) r.Fail();
   }
-  *pos += 8;
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  if (flags & kHasEpoch) {
+    msg.epoch = r.Varint<uint32_t>();
+    if (msg.epoch == 0) r.Fail();
+  }
+  if (flags & kHasX) msg.x = r.F64();
+  if (flags & kHasY) msg.y = r.F64();
+  if (!r.done()) return std::nullopt;  // malformed, or trailing garbage
+  msg.words = static_cast<uint32_t>((size + 7) / 8);
+  return msg;
 }
 
 }  // namespace
@@ -41,18 +53,84 @@ void PutVarint(std::vector<uint8_t>* out, uint64_t x) {
   out->push_back(static_cast<uint8_t>(x));
 }
 
-std::optional<uint64_t> GetVarint(const std::vector<uint8_t>& in,
-                                  size_t* pos) {
+void PutZigzag(std::vector<uint8_t>* out, int64_t x) {
+  const uint64_t u = static_cast<uint64_t>(x);
+  PutVarint(out, (u << 1) ^ static_cast<uint64_t>(x >> 63));
+}
+
+void PutF64(std::vector<uint8_t>* out, double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  PutFixedLe(out, bits, 8);
+}
+
+void PutU32Le(std::vector<uint8_t>* out, uint32_t x) { PutFixedLe(out, x, 4); }
+
+void PutU64Le(std::vector<uint8_t>* out, uint64_t x) { PutFixedLe(out, x, 8); }
+
+void PutSizedPayload(std::vector<uint8_t>* out, const Payload& msg) {
+  const std::vector<uint8_t> wire = EncodePayload(msg);
+  PutVarint(out, wire.size());
+  out->insert(out->end(), wire.begin(), wire.end());
+}
+
+uint64_t ByteReader::RawVarint() {
   uint64_t x = 0;
-  int shift = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (*pos >= in.size()) return std::nullopt;
-    const uint8_t byte = in[(*pos)++];
+  for (int shift = 0; ok_ && shift < 70 && pos_ < size_; shift += 7) {
+    const uint8_t byte = data_[pos_++];
     x |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return x;
-    shift += 7;
   }
-  return std::nullopt;  // over-long encoding
+  return Failed<uint64_t>();  // truncated, or longer than 10 bytes
+}
+
+const uint8_t* ByteReader::Bytes(size_t n) {
+  if (!ok_ || n > size_ - pos_) return Failed<const uint8_t*>();
+  const uint8_t* p = data_ + pos_;
+  pos_ += n;
+  return p;
+}
+
+uint64_t ByteReader::FixedLe(size_t n) {
+  const uint8_t* p = Bytes(n);
+  if (!ok_) return 0;
+  uint64_t x = 0;
+  for (size_t i = 0; i < n; ++i) x |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return x;
+}
+
+double ByteReader::F64() {
+  const uint64_t bits = FixedLe(8);
+  double x;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+
+uint32_t ByteReader::U32Le() { return static_cast<uint32_t>(FixedLe(4)); }
+
+uint64_t ByteReader::U64Le() { return FixedLe(8); }
+
+uint8_t ByteReader::Byte() { return static_cast<uint8_t>(FixedLe(1)); }
+
+bool ByteReader::Bool() {
+  const uint8_t b = Byte();
+  if (b > 1) return Failed<bool>();
+  return b == 1;
+}
+
+size_t ByteReader::Count() {
+  const uint64_t n = Varint();
+  if (n > kMaxCount) return Failed<size_t>();
+  return static_cast<size_t>(n);
+}
+
+Payload ByteReader::SizedPayload() {
+  const size_t len = Varint<size_t>();
+  const uint8_t* wire = Bytes(len);
+  if (!ok_) return Payload{};
+  const std::optional<Payload> msg = DecodeSpan(wire, len);
+  if (!msg) return Failed<Payload>();
+  return *msg;
 }
 
 std::vector<uint8_t> EncodePayload(const Payload& msg) {
@@ -68,46 +146,13 @@ std::vector<uint8_t> EncodePayload(const Payload& msg) {
   out.push_back(flags);
   if (flags & kHasSeq) PutVarint(&out, msg.seq);
   if (flags & kHasEpoch) PutVarint(&out, msg.epoch);
-  if (flags & kHasX) PutDouble(&out, msg.x);
-  if (flags & kHasY) PutDouble(&out, msg.y);
+  if (flags & kHasX) PutF64(&out, msg.x);
+  if (flags & kHasY) PutF64(&out, msg.y);
   return out;
 }
 
 std::optional<Payload> DecodePayload(const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  Payload msg;
-  const auto type = GetVarint(bytes, &pos);
-  if (!type || *type > UINT32_MAX) return std::nullopt;
-  msg.type = static_cast<uint32_t>(*type);
-  const auto a = GetVarint(bytes, &pos);
-  if (!a) return std::nullopt;
-  msg.a = *a;
-  if (pos >= bytes.size()) return std::nullopt;
-  const uint8_t flags = bytes[pos++];
-  if (flags & ~(kHasX | kHasY | kHasSeq | kHasEpoch)) return std::nullopt;
-  if (flags & kHasSeq) {
-    const auto seq = GetVarint(bytes, &pos);
-    if (!seq || *seq == 0 || *seq > UINT32_MAX) return std::nullopt;
-    msg.seq = static_cast<uint32_t>(*seq);
-  }
-  if (flags & kHasEpoch) {
-    const auto epoch = GetVarint(bytes, &pos);
-    if (!epoch || *epoch == 0 || *epoch > UINT32_MAX) return std::nullopt;
-    msg.epoch = static_cast<uint32_t>(*epoch);
-  }
-  if (flags & kHasX) {
-    const auto x = GetDouble(bytes, &pos);
-    if (!x) return std::nullopt;
-    msg.x = *x;
-  }
-  if (flags & kHasY) {
-    const auto y = GetDouble(bytes, &pos);
-    if (!y) return std::nullopt;
-    msg.y = *y;
-  }
-  if (pos != bytes.size()) return std::nullopt;  // trailing garbage
-  msg.words = static_cast<uint32_t>((bytes.size() + 7) / 8);
-  return msg;
+  return DecodeSpan(bytes.data(), bytes.size());
 }
 
 size_t EncodedSize(const Payload& msg) { return EncodePayload(msg).size(); }

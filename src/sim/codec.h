@@ -1,14 +1,18 @@
-// Wire format for protocol messages. The paper counts messages in
-// machine words (Section 2.1); this codec makes the claim concrete by
-// serializing every Payload into bytes (LEB128 varints for the integer
-// fields, raw IEEE754 for keys/weights) so benches can report real byte
-// counts next to the word-accounting of MessageStats.
+// Wire format for protocol messages, and the byte helpers every encoded
+// format in the repo shares. The paper counts messages in machine words
+// (Section 2.1); this codec makes the claim concrete by serializing every
+// Payload into bytes (LEB128 varints for the integer fields, raw IEEE754
+// for keys/weights) so benches can report real byte counts next to the
+// word-accounting of MessageStats. The WAL records (durability/records.h)
+// and checkpoints (durability/checkpoint.h) are written with the same
+// helpers and read back with the same ByteReader.
 
 #ifndef DWRS_SIM_CODEC_H_
 #define DWRS_SIM_CODEC_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -18,11 +22,85 @@ namespace dwrs::sim {
 
 // Appends a LEB128 varint encoding of x.
 void PutVarint(std::vector<uint8_t>* out, uint64_t x);
+// Appends x zigzag-mapped (small magnitudes stay short), as a varint.
+void PutZigzag(std::vector<uint8_t>* out, int64_t x);
+// Appends the raw IEEE 754 bits of x, little-endian.
+void PutF64(std::vector<uint8_t>* out, double x);
+// Fixed-width little-endian integers.
+void PutU32Le(std::vector<uint8_t>* out, uint32_t x);
+void PutU64Le(std::vector<uint8_t>* out, uint64_t x);
+// Appends a varint byte length, then EncodePayload(msg).
+void PutSizedPayload(std::vector<uint8_t>* out, const Payload& msg);
 
-// Reads a varint at *pos; advances *pos. Returns nullopt on truncation
-// or on a non-canonical >10-byte encoding.
-std::optional<uint64_t> GetVarint(const std::vector<uint8_t>& in,
-                                  size_t* pos);
+// Sequential, bounds-checked reader for everything the Put* helpers
+// write. Every getter returns a default value and latches failure on
+// truncation or on a field out of its type's range, so decoders read
+// field after field and check ok() (or done()) once at the end. After
+// the first failure every getter returns its default without reading,
+// so no container is ever sized from bytes past a malformed field.
+class ByteReader {
+ public:
+  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  explicit ByteReader(const std::vector<uint8_t>& bytes)
+      : ByteReader(bytes.data(), bytes.size()) {}
+
+  bool ok() const { return ok_; }
+  // ok() with every byte consumed: trailing bytes are malformed input.
+  bool done() const { return ok_ && pos_ == size_; }
+  size_t pos() const { return pos_; }
+
+  // Latches failure: a decoder's own check on a field failed.
+  void Fail() { ok_ = false; }
+
+  // A varint that must fit the integer type T. Fails on truncation and
+  // on an encoding longer than 10 bytes.
+  template <typename T = uint64_t>
+  T Varint() {
+    const uint64_t x = RawVarint();
+    if (x > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+      return Failed<T>();
+    }
+    return static_cast<T>(x);
+  }
+  // A zigzag varint that must fit the signed type T.
+  template <typename T = int64_t>
+  T Zigzag() {
+    const uint64_t u = RawVarint();
+    const int64_t x = static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+    if (x < std::numeric_limits<T>::min() ||
+        x > std::numeric_limits<T>::max()) {
+      return Failed<T>();
+    }
+    return static_cast<T>(x);
+  }
+  double F64();
+  uint32_t U32Le();
+  uint64_t U64Le();
+  uint8_t Byte();
+  // A byte that must be 0 or 1.
+  bool Bool();
+  // The next n bytes, in place. Check ok() before using the pointer.
+  const uint8_t* Bytes(size_t n);
+  // An element count, bounded so a corrupt count cannot drive a huge
+  // allocation (decoders are also fed unchecked bytes by the fuzz tests).
+  size_t Count();
+  // The inverse of PutSizedPayload.
+  Payload SizedPayload();
+
+ private:
+  uint64_t RawVarint();
+  uint64_t FixedLe(size_t n);
+  template <typename T>
+  T Failed() {
+    ok_ = false;
+    return T{};
+  }
+
+  const uint8_t* data_;
+  size_t size_;
+  size_t pos_ = 0;
+  bool ok_ = true;
+};
 
 // Serializes a payload:
 //   varint type | varint a | flags byte | [varint seq] [varint epoch]

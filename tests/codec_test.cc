@@ -12,9 +12,9 @@
 namespace dwrs {
 namespace {
 
+using sim::ByteReader;
 using sim::DecodePayload;
 using sim::EncodePayload;
-using sim::GetVarint;
 using sim::Payload;
 using sim::PutVarint;
 
@@ -24,11 +24,9 @@ TEST(VarintTest, RoundTripSmallAndLarge) {
   for (uint64_t x : cases) {
     std::vector<uint8_t> buf;
     PutVarint(&buf, x);
-    size_t pos = 0;
-    const auto decoded = GetVarint(buf, &pos);
-    ASSERT_TRUE(decoded.has_value()) << x;
-    EXPECT_EQ(*decoded, x);
-    EXPECT_EQ(pos, buf.size());
+    ByteReader r(buf);
+    EXPECT_EQ(r.Varint(), x);
+    EXPECT_TRUE(r.done()) << x;
   }
 }
 
@@ -42,14 +40,58 @@ TEST(VarintTest, TruncationDetected) {
   std::vector<uint8_t> buf;
   PutVarint(&buf, 1ull << 40);
   buf.pop_back();
-  size_t pos = 0;
-  EXPECT_FALSE(GetVarint(buf, &pos).has_value());
+  ByteReader r(buf);
+  r.Varint();
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(VarintTest, OverlongEncodingRejected) {
   std::vector<uint8_t> buf(11, 0x80);  // 11 continuation bytes
-  size_t pos = 0;
-  EXPECT_FALSE(GetVarint(buf, &pos).has_value());
+  ByteReader r(buf);
+  r.Varint();
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteReaderTest, TypedGettersRejectOutOfRangeValues) {
+  std::vector<uint8_t> buf;
+  PutVarint(&buf, UINT32_MAX);
+  PutVarint(&buf, uint64_t{UINT32_MAX} + 1);
+  {
+    ByteReader r(buf);
+    EXPECT_EQ(r.Varint<uint32_t>(), UINT32_MAX);
+    EXPECT_EQ(r.Varint<uint32_t>(), 0u);  // 2^32 does not fit
+    EXPECT_FALSE(r.ok());
+  }
+  for (int64_t x : {int64_t{INT32_MIN} - 1, int64_t{INT32_MAX} + 1}) {
+    buf.clear();
+    sim::PutZigzag(&buf, x);
+    ByteReader r(buf);
+    EXPECT_EQ(r.Zigzag<int>(), 0);
+    EXPECT_FALSE(r.ok()) << x;
+    EXPECT_EQ(ByteReader(buf).Zigzag(), x);  // fits int64_t
+  }
+  buf = {2};  // a bool byte must be 0 or 1
+  ByteReader r(buf);
+  r.Bool();
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteReaderTest, FirstFailureLatchesDefaults) {
+  // Element count 2^27 (past the allocation bound), then valid fields:
+  // after the bad count every getter returns its default, so nothing
+  // downstream is sized or read from bytes past the malformed field.
+  std::vector<uint8_t> buf;
+  PutVarint(&buf, uint64_t{1} << 27);
+  PutVarint(&buf, 5);
+  sim::PutF64(&buf, 2.5);
+  sim::PutU32Le(&buf, 7);
+  ByteReader r(buf);
+  EXPECT_EQ(r.Count(), 0u);
+  EXPECT_EQ(r.Varint(), 0u);
+  EXPECT_EQ(r.F64(), 0.0);
+  EXPECT_EQ(r.U32Le(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.done());
 }
 
 TEST(CodecTest, PayloadRoundTrip) {

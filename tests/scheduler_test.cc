@@ -2,12 +2,11 @@
 // virtualizes sites over a fixed worker pool: exact step-synchronous
 // equivalence with sim::Runtime at small and large k, a deterministic
 // work-stealing scenario (a dry worker must steal a site homed to a busy
-// sibling), skewed-load draining in both scheduling modes, quiesce under
-// flush churn, caller-runs dispatch (the flushing thread runs queued
-// sites itself; home-only mode never does; it races the pool for sites
-// at a pipelined pass end), the batches_dropped_on_shutdown accounting,
-// and a 100k-logical-site smoke run on a bounded pool. The whole file
-// is run under -fsanitize=thread in CI.
+// sibling), skewed-load draining, quiesce under flush churn, caller-runs
+// dispatch (the flushing thread runs queued sites itself; it races the
+// pool for sites at a pipelined pass end), the batches_dropped_on_shutdown
+// accounting, and a 100k-logical-site smoke run on a bounded pool. The
+// whole file is run under -fsanitize=thread in CI.
 
 #include <atomic>
 #include <chrono>
@@ -191,7 +190,6 @@ TEST(SchedulerStealTest, DryWorkerStealsSiteHomedToBusySibling) {
   EngineConfig config;
   config.num_sites = 4;
   config.num_workers = 2;
-  config.work_stealing = true;
   QuiesceBus bus;
   EngineStats stats;
   GateSite gate_a, gate_b;
@@ -232,19 +230,17 @@ TEST(SchedulerStealTest, DryWorkerStealsSiteHomedToBusySibling) {
 
 // ---------------------------------------------------------------------
 // Skewed per-site load: one hot site carrying most of the stream plus a
-// long tail. Every site must drain exactly its slice — under stealing
-// (the hot site's home queue overflows onto the pool) and with stealing
-// off (home-only execution) — and the engine's accounting must
+// long tail. Every site must drain exactly its slice (the hot site's
+// home queue overflows onto the pool) and the engine's accounting must
 // reconcile.
 
-void RunSkewedLoad(bool work_stealing) {
+TEST(SchedulerStressTest, SkewedLoadDrainsAllSitesWithStealing) {
   constexpr int kSites = 64;
   constexpr uint64_t kHotItems = 40000;
   constexpr uint64_t kTailItems = 250;
   EngineConfig config;
   config.num_sites = kSites;
   config.num_workers = 4;
-  config.work_stealing = work_stealing;
   config.batch_size = 64;
   config.item_queue_batches = 2;  // tiny queues: exercise backpressure
 
@@ -272,18 +268,7 @@ void RunSkewedLoad(bool work_stealing) {
   EXPECT_EQ(stats.items_ingested.load(), id);
   EXPECT_GE(stats.sites_scheduled.load(), uint64_t{kSites});
   EXPECT_EQ(stats.batches_dropped_on_shutdown.load(), 0u);
-  if (!work_stealing) {
-    EXPECT_EQ(stats.steals.load(), 0u);
-  }
   eng.Shutdown();
-}
-
-TEST(SchedulerStressTest, SkewedLoadDrainsAllSitesWithStealing) {
-  RunSkewedLoad(/*work_stealing=*/true);
-}
-
-TEST(SchedulerStressTest, SkewedLoadDrainsAllSitesHomeOnly) {
-  RunSkewedLoad(/*work_stealing=*/false);
 }
 
 // ---------------------------------------------------------------------
@@ -333,19 +318,16 @@ TEST(SchedulerQuiesceTest, FlushChurnWithProtocolTraffic) {
 struct CallerRunsResult {
   std::vector<KeyedItem> sample;
   sim::MessageStats messages;
-  uint64_t flush_dispatches = 0;
   uint64_t flush_dispatches_after_step1 = 0;
   uint64_t worker_parks_after_step1 = 0;
 };
 
-CallerRunsResult RunNaiveStepSync(const Workload& w, int s, uint64_t seed,
-                                  bool work_stealing) {
+CallerRunsResult RunNaiveStepSync(const Workload& w, int s, uint64_t seed) {
   const int k = w.num_sites();
   Rng master(seed);
   std::vector<std::unique_ptr<NaiveWsworSite>> sites;
   NaiveWsworCoordinator coordinator(s);
-  Engine eng(EngineConfig{
-      .num_sites = k, .num_workers = 2, .work_stealing = work_stealing});
+  Engine eng(EngineConfig{.num_sites = k, .num_workers = 2});
   for (int i = 0; i < k; ++i) {
     sites.push_back(std::make_unique<NaiveWsworSite>(s, i, &eng.transport(),
                                                      master.NextU64()));
@@ -367,9 +349,8 @@ CallerRunsResult RunNaiveStepSync(const Workload& w, int s, uint64_t seed,
   CallerRunsResult out;
   out.sample = coordinator.Sample();
   out.messages = stats.MessageSnapshot();
-  out.flush_dispatches = stats.flush_dispatches.load();
   out.flush_dispatches_after_step1 =
-      out.flush_dispatches - dispatches_at_step1;
+      stats.flush_dispatches.load() - dispatches_at_step1;
   out.worker_parks_after_step1 = stats.worker_parks.load() - parks_at_step1;
   eng.Shutdown();
   return out;
@@ -405,25 +386,11 @@ TEST(CallerRunsTest, StepSyncFlushRunsEveryStepOnTheFlushingThread) {
   NaiveDistributedWswor sim_sampler(k, s, /*seed=*/31);
   sim_sampler.Run(w);
 
-  const CallerRunsResult run =
-      RunNaiveStepSync(w, s, /*seed=*/31, /*work_stealing=*/true);
+  const CallerRunsResult run = RunNaiveStepSync(w, s, /*seed=*/31);
   ExpectSameNaiveRun(sim_sampler, run);
   // Steps 2..n each bore one item; Run's closing Flush bore none.
   EXPECT_EQ(run.flush_dispatches_after_step1, n - 1);
   EXPECT_EQ(run.worker_parks_after_step1, 0u);
-}
-
-TEST(CallerRunsTest, HomeOnlyModeKeepsWakeAndWait) {
-  constexpr int k = 8, s = 16;
-  constexpr uint64_t n = 3000;
-  const Workload w = CallerRunsWorkload(k, n);
-  NaiveDistributedWswor sim_sampler(k, s, /*seed=*/31);
-  sim_sampler.Run(w);
-
-  const CallerRunsResult home_only =
-      RunNaiveStepSync(w, s, /*seed=*/31, /*work_stealing=*/false);
-  ExpectSameNaiveRun(sim_sampler, home_only);
-  EXPECT_EQ(home_only.flush_dispatches, 0u);
 }
 
 // A WsworSite that also counts what it was handed. Plain counters: the
@@ -596,6 +563,9 @@ TEST(SchedulerScaleTest, HundredThousandLogicalSitesOnBoundedPool) {
 TEST(SchedulerTraceTest, TraceSiteIdsSurvivePastInt16) {
   obs::FlightRecorder::Get().Enable(/*ring_capacity=*/64,
                                     /*deterministic=*/true);
+  // False only in a build with the recorder compiled out
+  // (-DDWRS_TRACING=OFF), where Emit records nothing.
+  const bool recording = obs::TracingEnabled();
   obs::TraceEvent event;
   event.type = obs::EventType::kSiteScheduled;
   event.site = 100000;
@@ -611,7 +581,7 @@ TEST(SchedulerTraceTest, TraceSiteIdsSurvivePastInt16) {
       found = true;
     }
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(found, recording);
 }
 
 }  // namespace
