@@ -1,10 +1,10 @@
 // E10 — the scenario matrix: every protocol facade x every scenario in
 // the registry (stream/scenario.h), on both execution backends, with the
 // accuracy and message-cost of every cell emitted as one JSON row.
-// tools/check_envelopes.py gates the rows against bench/envelopes.json in
-// CI, so "the distributional guarantees and message bounds hold under
-// temporal dynamics, skewed ownership, bursty arrivals, and site churn"
-// is a standing regression-checked statement.
+// tools/check_bench.py gates the rows against bench/envelopes.json in CI,
+// so "the distributional guarantees and message bounds hold under
+// temporal dynamics, skewed ownership, a hopping hot site, and site
+// churn" is a standing regression-checked statement.
 //
 // Per-cell accuracy metrics (cheap enough for a matrix, exact laws):
 //   wswor/naive  argmax item ~ w_i/W (chi-square) and the max key
@@ -13,11 +13,10 @@
 //   swr          every race winner iid ~ w_i/W (chi-square over T*s draws).
 //   l1           relative error of W-hat (median/max over trials).
 //
-// Engine rows run step-synchronous through the paced feeder
-// (Engine::RunPaced with the scenario's materialized arrival schedule)
-// and are gated on bit-identity with the simulator — sample, keys, and
-// every traffic counter — so the accuracy measured on the sim rows
-// transfers verbatim and the gate never flakes on interleavings.
+// Engine rows run Engine::Run step-synchronously and are gated on
+// bit-identity with the simulator — sample, keys, and every traffic
+// counter — so the accuracy measured on the sim rows transfers verbatim
+// and the gate never flakes on interleavings.
 //
 // Site churn cells run through faults::FaultyRun (crash/resync path):
 // clean trials must be chi-square-exact over the deterministic survivor
@@ -398,12 +397,11 @@ engine::EngineConfig StepSyncEngine(const ScenarioSpec& spec) {
 // Each Engine*Identical builds the manual engine endpoint stack with the
 // facade's exact seed derivation (master RNG: one NextU64 per site in
 // index order, then the coordinator's where it takes one), replays the
-// scenario through the paced feeder, and compares sample + every traffic
+// scenario step-synchronously, and compares sample + every traffic
 // counter against the sim facade.
 
 bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
-                          const std::vector<uint32_t>& batches, uint64_t seed,
-                          uint64_t* messages) {
+                          uint64_t seed, uint64_t* messages) {
   const WsworConfig config = WsworConfigFor(spec, seed);
   DistributedWswor sim_sampler(config);
   sim_sampler.Run(w);
@@ -420,7 +418,7 @@ bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
   coordinator = std::make_unique<WsworCoordinator>(config, &eng.transport(),
                                                    master.NextU64());
   eng.AttachCoordinator(coordinator.get());
-  eng.RunPaced(w, batches);
+  eng.Run(w);
   const bool same =
       SameKeyedSample(sim_sampler.Sample(), coordinator->Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -430,8 +428,7 @@ bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
-                          const std::vector<uint32_t>& batches, uint64_t seed,
-                          uint64_t* messages) {
+                          uint64_t seed, uint64_t* messages) {
   NaiveDistributedWswor sim_sampler(spec.num_sites, kSampleSize, seed);
   sim_sampler.Run(w);
 
@@ -445,7 +442,7 @@ bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
   }
   NaiveWsworCoordinator coordinator(kSampleSize);
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  eng.Run(w);
   const bool same =
       SameKeyedSample(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -455,8 +452,7 @@ bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
-                          const std::vector<uint32_t>& batches, uint64_t seed,
-                          uint64_t* messages) {
+                          uint64_t seed, uint64_t* messages) {
   const UsworConfig config = UsworConfigFor(spec, seed);
   DistributedUnweightedSwor sim_sampler(config);
   sim_sampler.Run(w);
@@ -471,7 +467,7 @@ bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
   }
   UsworCoordinator coordinator(config, &eng.transport());
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  eng.Run(w);
   const bool same =
       SameItemIds(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -481,8 +477,7 @@ bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
-                        const std::vector<uint32_t>& batches, uint64_t seed,
-                        uint64_t* messages) {
+                        uint64_t seed, uint64_t* messages) {
   const SlottedSwrConfig config = SwrConfigFor(spec, seed);
   DistributedSwr sim_sampler(config);
   sim_sampler.Run(w);
@@ -497,7 +492,7 @@ bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
   }
   SlottedSwrCoordinator coordinator(config, &eng.transport());
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  eng.Run(w);
   const bool same =
       SameItemIds(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -507,8 +502,7 @@ bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
 }
 
 bool EngineL1Identical(const ScenarioSpec& spec, const Workload& w,
-                       const std::vector<uint32_t>& batches, uint64_t seed,
-                       uint64_t* messages) {
+                       uint64_t seed, uint64_t* messages) {
   const L1TrackerConfig config = L1ConfigFor(spec, seed);
   L1Tracker sim_tracker(config);
   sim_tracker.Run(w);
@@ -524,7 +518,7 @@ bool EngineL1Identical(const ScenarioSpec& spec, const Workload& w,
   WsworCoordinator coordinator(L1CoordinatorConfig(config), &eng.transport(),
                                master.NextU64());
   eng.AttachCoordinator(&coordinator);
-  eng.RunPaced(w, batches);
+  eng.Run(w);
   const double engine_estimate =
       L1EstimateFromThreshold(config, coordinator.Threshold());
   const bool same =
@@ -553,7 +547,6 @@ bool EngineChurnIdentical(const Config& config,
 }
 
 CellResult EngineCell(const ScenarioSpec& spec, const Workload& w,
-                      const std::vector<uint32_t>& batches,
                       const faults::FaultConfig& churn,
                       const std::string& protocol, size_t si, size_t pi,
                       int trials) {
@@ -580,15 +573,15 @@ CellResult EngineCell(const ScenarioSpec& spec, const Workload& w,
             L1ConfigFor(spec, seed), churn, w, &messages);
       }
     } else if (protocol == "wswor") {
-      same = EngineWsworIdentical(spec, w, batches, seed, &messages);
+      same = EngineWsworIdentical(spec, w, seed, &messages);
     } else if (protocol == "naive") {
-      same = EngineNaiveIdentical(spec, w, batches, seed, &messages);
+      same = EngineNaiveIdentical(spec, w, seed, &messages);
     } else if (protocol == "uswor") {
-      same = EngineUsworIdentical(spec, w, batches, seed, &messages);
+      same = EngineUsworIdentical(spec, w, seed, &messages);
     } else if (protocol == "swr") {
-      same = EngineSwrIdentical(spec, w, batches, seed, &messages);
+      same = EngineSwrIdentical(spec, w, seed, &messages);
     } else {
-      same = EngineL1Identical(spec, w, batches, seed, &messages);
+      same = EngineL1Identical(spec, w, seed, &messages);
     }
     if (!same) cell.bit_identical = 0;
     TrackMessages(cell, messages);
@@ -640,7 +633,7 @@ int main(int argc, char** argv) {
 
   Header("E10: scenario matrix — protocols x scenarios x backends",
          "accuracy laws and message costs hold under temporal dynamics, "
-         "skewed ownership, bursty arrivals, and site churn");
+         "skewed ownership, a hopping hot site, and site churn");
 
   JsonBench bench("scenarios");
   bench.Param("quick", quick ? 1.0 : 0.0)
@@ -656,8 +649,6 @@ int main(int argc, char** argv) {
     const uint64_t workload_seed = 9000 + 37 * si;
     const dwrs::Workload w =
         dwrs::BuildScenarioWorkload(spec, workload_seed, quick);
-    const std::vector<uint32_t> batches =
-        dwrs::BuildScenarioBatches(spec, w.size(), workload_seed);
     const dwrs::faults::FaultConfig churn =
         dwrs::ScenarioChurn(spec, workload_seed);
     std::vector<uint64_t> survivors;
@@ -693,8 +684,8 @@ int main(int argc, char** argv) {
       }
       EmitRow(bench, spec, protocol, "sim", w.size(), sim_cell);
 
-      const CellResult engine_cell = EngineCell(
-          spec, w, batches, churn, protocol, si, pi, params.trials_engine);
+      const CellResult engine_cell =
+          EngineCell(spec, w, churn, protocol, si, pi, params.trials_engine);
       EmitRow(bench, spec, protocol, "engine", w.size(), engine_cell);
     }
   }
@@ -704,6 +695,6 @@ int main(int argc, char** argv) {
   Row("wrote %s", path.c_str());
   Row("%s", "pass criteria: p-values >= 1e-3, silent_wrong == 0, "
             "bit_identical == 1, message costs within envelopes "
-            "(tools/check_envelopes.py vs bench/envelopes.json).");
+            "(tools/check_bench.py --baseline bench/envelopes.json).");
   return 0;
 }

@@ -176,30 +176,6 @@ void Engine::Run(const Workload& workload,
   Flush();
 }
 
-void Engine::RunPaced(const Workload& workload,
-                      const std::vector<uint32_t>& batches,
-                      const std::function<void(uint64_t)>& on_round) {
-  DWRS_CHECK_EQ(workload.num_sites(), config_.num_sites);
-  uint64_t total = 0;
-  for (uint32_t b : batches) total += b;
-  DWRS_CHECK_EQ(total, workload.size());
-  DWRS_CHECK(!shut_down_) << " engine already shut down";
-  if (!started_) Start();
-  uint64_t pos = 0;
-  for (uint32_t b : batches) {
-    for (uint32_t j = 0; j < b; ++j) {
-      const WorkloadEvent& event = workload.event(pos++);
-      Append(event.site, event.item);
-      if (config_.step_synchronous) Flush();
-    }
-    if (on_round) {
-      Flush();
-      on_round(pos);
-    }
-  }
-  Flush();
-}
-
 void Engine::Shutdown() {
   if (!started_ || shut_down_) {
     shut_down_ = true;

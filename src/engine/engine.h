@@ -28,7 +28,7 @@
 // thread is the feeder and the single producer of every item queue.
 // Flush runs queued sites on the calling thread before it waits
 // (caller-runs dispatch, see engine/scheduler.h), so the thread calling
-// Flush — and with it Run and RunPaced, which flush at the end and,
+// Flush — and with it Run, which flushes at the end and,
 // step-synchronously (an on_step hook or config().step_synchronous),
 // after every event — may execute site endpoint callbacks itself. Such a
 // callback runs exactly as it would on a pool worker: one at a time per
@@ -135,19 +135,6 @@ class Engine : public sim::Transport {
   // the same pacing applies even without a hook.
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr);
-
-  // Runs the workload under an externally materialized arrival schedule
-  // (stream/dynamics.h): round r feeds the next batches[r] events in
-  // arrival order, so bursty/diurnal scenarios drive the ingestion queues
-  // at their modeled rates instead of one steady drip. `batches` must sum
-  // to workload.size(). If `on_round` is set the engine quiesces at each
-  // round boundary and invokes it with the 1-based prefix length (items
-  // fed so far). With config().step_synchronous the engine quiesces after
-  // every event — the pacing then changes nothing observable and the run
-  // is bit-identical to Run() and to the simulator, which is what lets
-  // paced scenario cells be replayed exactly for the envelope gate.
-  void RunPaced(const Workload& workload, const std::vector<uint32_t>& batches,
-                const std::function<void(uint64_t)>& on_round = nullptr);
 
   // Stops and joins all worker threads (idempotent; the destructor calls
   // it). Pending un-flushed work may be dropped; call Flush() first for a

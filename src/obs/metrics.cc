@@ -118,11 +118,6 @@ void Registry::AddCollector(CollectorFn fn) {
   collectors_.push_back(std::move(fn));
 }
 
-void Registry::ClearCollectors() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  collectors_.clear();
-}
-
 Snapshot Registry::Collect() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Snapshot out;

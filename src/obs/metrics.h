@@ -157,7 +157,6 @@ class Registry {
 
   using CollectorFn = std::function<void(Snapshot*)>;
   void AddCollector(CollectorFn fn);
-  void ClearCollectors();
 
   // Registered instruments (registration order), then collectors (added
   // order). Safe to call from any thread; the values themselves are

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "engine/stats.h"
-#include "faults/faulty_transport.h"
 #include "faults/harness.h"
 #include "query/query_service.h"
 #include "sim/message.h"
@@ -90,17 +89,6 @@ void AppendFaultReport(const faults::RunReport& report,
               static_cast<uint64_t>(report.recovery_consistent ? 1 : 0));
   out->Append(Join(prefix, "clean"),
               static_cast<uint64_t>(report.clean ? 1 : 0));
-}
-
-void AppendFaultCounters(const faults::FaultCounters& counters,
-                         const std::string& prefix, Snapshot* out) {
-  const auto get = [](const std::atomic<uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  out->Append(Join(prefix, "forwarded"), get(counters.forwarded));
-  out->Append(Join(prefix, "dropped"), get(counters.dropped));
-  out->Append(Join(prefix, "duplicated"), get(counters.duplicated));
-  out->Append(Join(prefix, "delayed"), get(counters.delayed));
 }
 
 }  // namespace dwrs::obs

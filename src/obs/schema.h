@@ -29,7 +29,6 @@ struct EngineStats;
 
 namespace dwrs::faults {
 struct RunReport;
-struct FaultCounters;
 }  // namespace dwrs::faults
 
 namespace dwrs::query {
@@ -66,10 +65,6 @@ void AppendQueryServiceStats(const query::QueryServiceStats& stats,
 // and fault-transport counters, clean as 0/1).
 void AppendFaultReport(const faults::RunReport& report,
                        const std::string& prefix, Snapshot* out);
-
-// forwarded, dropped, duplicated, delayed.
-void AppendFaultCounters(const faults::FaultCounters& counters,
-                         const std::string& prefix, Snapshot* out);
 
 }  // namespace dwrs::obs
 

@@ -84,75 +84,6 @@ std::vector<double> ZipfSweepWeights::YcsbThetas() {
 }
 
 // ---------------------------------------------------------------------
-// Arrival processes.
-
-ConstantArrivals::ConstantArrivals(uint64_t batch) : batch_(batch) {
-  DWRS_CHECK_GT(batch, 0u);
-}
-
-uint64_t ConstantArrivals::BatchAt(uint64_t /*step*/, Rng& /*rng*/) {
-  return batch_;
-}
-
-DiurnalArrivals::DiurnalArrivals(double mean, double amplitude,
-                                 uint64_t period)
-    : mean_(mean), amplitude_(amplitude), period_(period) {
-  DWRS_CHECK_GE(mean, 1.0);
-  DWRS_CHECK(amplitude >= 0.0 && amplitude <= 1.0);
-  DWRS_CHECK_GT(period, 0u);
-}
-
-uint64_t DiurnalArrivals::BatchAt(uint64_t step, Rng& /*rng*/) {
-  constexpr double kTwoPi = 6.283185307179586477;
-  const double phase =
-      kTwoPi * static_cast<double>(step % period_) /
-      static_cast<double>(period_);
-  const double rate = mean_ * (1.0 + amplitude_ * std::sin(phase));
-  const double rounded = std::round(rate);
-  return rounded < 1.0 ? 1 : static_cast<uint64_t>(rounded);
-}
-
-BurstyArrivals::BurstyArrivals(uint64_t base, uint64_t burst,
-                               double burst_prob, uint64_t burst_len)
-    : base_(base), burst_(burst), burst_prob_(burst_prob),
-      burst_len_(burst_len) {
-  DWRS_CHECK_GT(base, 0u);
-  DWRS_CHECK_GE(burst, base);
-  DWRS_CHECK(burst_prob >= 0.0 && burst_prob <= 1.0);
-  DWRS_CHECK_GT(burst_len, 0u);
-}
-
-uint64_t BurstyArrivals::BatchAt(uint64_t step, Rng& rng) {
-  DWRS_CHECK_EQ(step, next_expected_)
-      << "; BurstyArrivals must be driven sequentially from step 0";
-  ++next_expected_;
-  if (burst_remaining_ > 0) {
-    --burst_remaining_;
-    return burst_;
-  }
-  if (rng.NextDouble() < burst_prob_) {
-    burst_remaining_ = burst_len_ - 1;  // this step is the first of the burst
-    return burst_;
-  }
-  return base_;
-}
-
-std::vector<uint32_t> MaterializeBatches(ArrivalProcess& process,
-                                         uint64_t total_items, Rng& rng) {
-  std::vector<uint32_t> out;
-  uint64_t covered = 0;
-  uint64_t step = 0;
-  while (covered < total_items) {
-    uint64_t b = process.BatchAt(step++, rng);
-    DWRS_CHECK_GT(b, 0u);
-    if (b > total_items - covered) b = total_items - covered;
-    out.push_back(static_cast<uint32_t>(b));
-    covered += b;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------
 // SkewedSitePartitioner.
 
 SkewedSitePartitioner::SkewedSitePartitioner(double theta) : theta_(theta) {

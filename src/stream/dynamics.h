@@ -1,11 +1,10 @@
 // Temporal dynamics for the scenario suite: weight generators whose law
-// changes over the stream (hot-key drift, YCSB-style Zipf skew sweeps),
-// arrival processes that modulate the per-step ingestion rate (diurnal,
-// bursty), and a Zipf-skewed item->site partitioner. These compose with
-// the static generators/partitioners library (generators.h,
-// partitioners.h) through the same interfaces, so every existing
-// harness can run a dynamic stream unchanged — the scenario layer
-// (scenario.h) packages the combinations.
+// changes over the stream (hot-key drift, YCSB-style Zipf skew sweeps)
+// and a Zipf-skewed item->site partitioner. These compose with the
+// static generators/partitioners library (generators.h, partitioners.h)
+// through the same interfaces, so every existing harness can run a
+// dynamic stream unchanged — the scenario layer (scenario.h) packages
+// the combinations.
 
 #ifndef DWRS_STREAM_DYNAMICS_H_
 #define DWRS_STREAM_DYNAMICS_H_
@@ -79,66 +78,6 @@ class ZipfSweepWeights : public WeightGenerator {
   std::vector<ZipfSampler> samplers_;  // one per theta
   std::vector<double> scales_;
 };
-
-// Produces the number of items arriving at feeder step `step` — the
-// rate-modulation seam: the scenario layer materializes the schedule and
-// the engine's paced feeder (engine::Engine::RunPaced) hands the stream
-// over in exactly these batch sizes. Implementations may use the Rng;
-// deterministic processes ignore it. Like the weight generators, a
-// process must be driven with one Rng from step 0 for replayability.
-class ArrivalProcess {
- public:
-  virtual ~ArrivalProcess() = default;
-  // Batch size at `step` (>= 1).
-  virtual uint64_t BatchAt(uint64_t step, Rng& rng) = 0;
-};
-
-// Fixed batch size: the static feeding every existing bench uses.
-class ConstantArrivals : public ArrivalProcess {
- public:
-  explicit ConstantArrivals(uint64_t batch);
-  uint64_t BatchAt(uint64_t step, Rng& rng) override;
-
- private:
-  uint64_t batch_;
-};
-
-// Sinusoidal day/night rate: batch = max(1, round(mean * (1 + amplitude
-// * sin(2*pi*step/period)))). Deterministic.
-class DiurnalArrivals : public ArrivalProcess {
- public:
-  DiurnalArrivals(double mean, double amplitude, uint64_t period);
-  uint64_t BatchAt(uint64_t step, Rng& rng) override;
-
- private:
-  double mean_;
-  double amplitude_;
-  uint64_t period_;
-};
-
-// Two-state on/off (burst) process: in the idle state each step emits
-// `base` items and enters a burst with probability `burst_prob`; a burst
-// emits `burst` items per step for `burst_len` steps. Seed-deterministic
-// and sequential (the state advances one step per call, enforced).
-class BurstyArrivals : public ArrivalProcess {
- public:
-  BurstyArrivals(uint64_t base, uint64_t burst, double burst_prob,
-                 uint64_t burst_len);
-  uint64_t BatchAt(uint64_t step, Rng& rng) override;
-
- private:
-  uint64_t base_;
-  uint64_t burst_;
-  double burst_prob_;
-  uint64_t burst_len_;
-  uint64_t burst_remaining_ = 0;
-  uint64_t next_expected_ = 0;  // enforces sequential use
-};
-
-// Materializes per-step batch sizes summing to exactly `total_items`
-// (the final batch is truncated).
-std::vector<uint32_t> MaterializeBatches(ArrivalProcess& process,
-                                         uint64_t total_items, Rng& rng);
 
 // Zipf-distributed item->site mapping: item at any position lands on
 // site (rank - 1) with rank ~ Zipf(theta) over [1, num_sites] — site 0

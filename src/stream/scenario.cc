@@ -8,8 +8,10 @@
 namespace dwrs {
 namespace {
 
-// Decorrelates derived seeds (batches, churn) from the workload seed so
-// that e.g. the batch schedule never aliases the weight draws.
+// Decorrelates a derived seed (churn) from the workload seed so that the
+// crash schedule never aliases the weight draws. The stream id is part
+// of every recorded churn schedule: changing it changes every site_churn
+// cell in bench/envelopes.json.
 uint64_t DeriveSeed(uint64_t seed, uint64_t stream_id) {
   uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * (stream_id + 1));
   return SplitMix64(&state);
@@ -29,9 +31,6 @@ std::vector<ScenarioSpec> BuildRegistry() {
       return std::make_unique<UniformWeights>(1.0, 100.0);
     };
     s.make_partitioner = [] { return std::make_unique<RoundRobinPartitioner>(); };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<ConstantArrivals>(8);
-    };
     out.push_back(std::move(s));
   }
 
@@ -49,9 +48,6 @@ std::vector<ScenarioSpec> BuildRegistry() {
                                                 phase_len);
     };
     s.make_partitioner = [] { return std::make_unique<RandomPartitioner>(); };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<ConstantArrivals>(8);
-    };
     out.push_back(std::move(s));
   }
 
@@ -70,45 +66,34 @@ std::vector<ScenarioSpec> BuildRegistry() {
           /*heavy_weight=*/400.0, rotate_every);
     };
     s.make_partitioner = [] { return std::make_unique<RandomPartitioner>(); };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<ConstantArrivals>(8);
-    };
     out.push_back(std::move(s));
   }
 
-  // 4. Diurnal Zipf: skewed weights under a day/night arrival rate — the
-  // paced feeder sees batches swinging 4x around the mean.
+  // 4. Zipf(0.9)-skewed weights over random sites: one fixed skew, where
+  // zipf_sweep moves through four. The name keys the scenario's rows in
+  // bench/envelopes.json.
   {
     ScenarioSpec s;
     s.name = "diurnal_zipf";
-    s.description = "Zipf(0.9) weights, sinusoidal arrival rate";
+    s.description = "Zipf(0.9) weights, random sites";
     s.make_weights = [](uint64_t) {
       return std::make_unique<ZipfWeights>(/*num_ranks=*/1000, /*alpha=*/0.9);
     };
     s.make_partitioner = [] { return std::make_unique<RandomPartitioner>(); };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<DiurnalArrivals>(/*mean=*/8.0, /*amplitude=*/0.75,
-                                               /*period=*/50);
-    };
     out.push_back(std::move(s));
   }
 
-  // 5. Bursty hot site: heavy-tailed weights, all traffic on a hopping
-  // hot site, on/off burst arrivals — the engine-queue stress cell.
+  // 5. Bursty hot site: heavy-tailed weights, and all traffic on one hot
+  // site that hops every 97 items, so each site sees its items in bursts.
   {
     ScenarioSpec s;
     s.name = "bursty_hotsite";
-    s.description = "Pareto weights, hopping hot site, on/off bursts";
+    s.description = "Pareto weights, hopping hot site";
     s.make_weights = [](uint64_t) {
       return std::make_unique<ParetoWeights>(/*alpha=*/1.5);
     };
     s.make_partitioner = [] {
       return std::make_unique<AdversarialPartitioner>(/*hop_every=*/97);
-    };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<BurstyArrivals>(/*base=*/2, /*burst=*/32,
-                                              /*burst_prob=*/0.05,
-                                              /*burst_len=*/5);
     };
     out.push_back(std::move(s));
   }
@@ -125,9 +110,6 @@ std::vector<ScenarioSpec> BuildRegistry() {
     s.make_partitioner = [] {
       return std::make_unique<SkewedSitePartitioner>(/*theta=*/1.0);
     };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<ConstantArrivals>(8);
-    };
     out.push_back(std::move(s));
   }
 
@@ -143,9 +125,6 @@ std::vector<ScenarioSpec> BuildRegistry() {
       return std::make_unique<UniformWeights>(1.0, 100.0);
     };
     s.make_partitioner = [] { return std::make_unique<RoundRobinPartitioner>(); };
-    s.make_arrivals = [](uint64_t) {
-      return std::make_unique<ConstantArrivals>(8);
-    };
     s.has_churn = true;
     s.churn.crash_prob = 0.002;
     s.churn.crash_down_items = 6;
@@ -182,14 +161,6 @@ Workload BuildScenarioWorkload(const ScenarioSpec& spec, uint64_t seed,
       .weights(spec.make_weights(n))
       .partitioner(spec.make_partitioner())
       .Build();
-}
-
-std::vector<uint32_t> BuildScenarioBatches(const ScenarioSpec& spec,
-                                           uint64_t num_items, uint64_t seed) {
-  DWRS_CHECK(spec.make_arrivals != nullptr);
-  auto process = spec.make_arrivals(num_items);
-  Rng rng(DeriveSeed(seed, /*stream_id=*/1));
-  return MaterializeBatches(*process, num_items, rng);
 }
 
 faults::FaultConfig ScenarioChurn(const ScenarioSpec& spec, uint64_t seed) {

@@ -1,22 +1,21 @@
 // The declarative scenario layer: a named, seed-deterministic,
 // enumerable catalog of distributed-stream workloads in the YCSB spirit
 // (Cooper et al., SoCC'10), each composing a weight generator, a
-// partitioner, an arrival process (per-step ingestion rates), and an
-// optional site-churn schedule. Every accuracy and message-cost claim
-// the repo gates is measured over this matrix (bench/bench_scenarios.cc
-// x tools/check_envelopes.py), so "the bounds hold under arbitrary
-// input" is a standing, regression-gated statement rather than a
-// per-PR anecdote on one static stream.
+// partitioner, and an optional site-churn schedule. Every accuracy and
+// message-cost claim the repo gates is measured over this matrix
+// (bench/bench_scenarios.cc x tools/check_bench.py against
+// bench/envelopes.json), so "the bounds hold under arbitrary input" is a
+// standing, regression-gated statement rather than a per-PR anecdote on
+// one static stream.
 //
 //   const ScenarioSpec* sc = FindScenario("zipf_sweep");
 //   Workload w = BuildScenarioWorkload(*sc, /*seed=*/7, /*quick=*/true);
-//   auto batches = BuildScenarioBatches(*sc, w.size(), /*seed=*/7);
-//   engine.RunPaced(w, batches);          // rate-modulated feeding
+//   engine.Run(w);
 //
-// Determinism: (scenario, seed, quick) fully determines the workload,
-// the batch schedule, and — for churn scenarios — the fault schedule, so
-// any matrix cell replays bit for bit on the simulator and on the
-// step-synchronous engine.
+// Determinism: (scenario, seed, quick) fully determines the workload
+// and — for churn scenarios — the fault schedule, so any matrix cell
+// replays bit for bit on the simulator and on the step-synchronous
+// engine.
 
 #ifndef DWRS_STREAM_SCENARIO_H_
 #define DWRS_STREAM_SCENARIO_H_
@@ -49,8 +48,6 @@ struct ScenarioSpec {
   std::function<std::unique_ptr<WeightGenerator>(uint64_t num_items)>
       make_weights;
   std::function<std::unique_ptr<Partitioner>()> make_partitioner;
-  std::function<std::unique_ptr<ArrivalProcess>(uint64_t num_items)>
-      make_arrivals;
 
   // Site churn: crash/restart schedule applied through the fault
   // harness's crash/resync path (sites leave mid-stream, drop their
@@ -62,8 +59,8 @@ struct ScenarioSpec {
 };
 
 // The scenario catalog, built once: >= 6 scenarios covering steady
-// baselines, skew sweeps, hot-key drift, diurnal/bursty arrivals,
-// skewed site ownership, and site churn. Stable order; unique names.
+// baselines, skew sweeps, hot-key drift, a hopping hot site, skewed
+// site ownership, and site churn. Stable order; unique names.
 const std::vector<ScenarioSpec>& ScenarioRegistry();
 
 // nullptr when no scenario has `name`.
@@ -72,11 +69,6 @@ const ScenarioSpec* FindScenario(const std::string& name);
 // Materializes the scenario's replayable distributed stream.
 Workload BuildScenarioWorkload(const ScenarioSpec& spec, uint64_t seed,
                                bool quick);
-
-// Per-step ingestion batch sizes (sum == num_items, every entry >= 1):
-// the schedule the engine's paced feeder consumes.
-std::vector<uint32_t> BuildScenarioBatches(const ScenarioSpec& spec,
-                                           uint64_t num_items, uint64_t seed);
 
 // The scenario's churn schedule with the run seed mixed in (equal to
 // spec.churn but for the seed; all-zero schedules pass through).

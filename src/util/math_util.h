@@ -49,9 +49,6 @@ double PowInt(double base, int j);
 // log2 of an unsigned integer (floor); 0 maps to 0.
 int FloorLog2U64(uint64_t x);
 
-// Numerically stable log(1+x).
-inline double Log1p(double x) { return std::log1p(x); }
-
 // Clamps x into [lo, hi].
 double Clamp(double x, double lo, double hi);
 

@@ -1,7 +1,7 @@
 // Tests for the scenario layer (stream/scenario.h) and its temporal
 // dynamics (stream/dynamics.h): registry shape, seed-determinism of
-// every generator / arrival process / churn schedule, sim <-> engine
-// bit-identity of every scenario through the paced feeder, chi-square
+// every generator / churn schedule, sim <-> engine bit-identity of
+// every scenario on the step-synchronous engine, chi-square
 // exactness of merged samples under hot-key drift and site churn at
 // S in {1, 4}, and a 25-seed churn-with-loss sweep asserting degraded
 // runs are always flagged, never silently wrong.
@@ -50,7 +50,6 @@ TEST(ScenarioRegistryTest, CatalogShape) {
     EXPECT_GT(s.items_full, s.items_quick);
     ASSERT_TRUE(s.make_weights != nullptr) << s.name;
     ASSERT_TRUE(s.make_partitioner != nullptr) << s.name;
-    ASSERT_TRUE(s.make_arrivals != nullptr) << s.name;
   }
   // The dynamics the matrix exists to cover must stay in the catalog.
   for (const char* required :
@@ -108,33 +107,6 @@ TEST(ScenarioDeterminismTest, DifferentSeedsProduceDifferentWeights) {
     equal += (a.event(i).item.weight == b.event(i).item.weight);
   }
   EXPECT_LT(equal, a.size() / 20);
-}
-
-TEST(ScenarioDeterminismTest, BatchesSumExactAndReplay) {
-  for (const ScenarioSpec& s : ScenarioRegistry()) {
-    const auto a = BuildScenarioBatches(s, s.items_quick, /*seed=*/42);
-    const auto b = BuildScenarioBatches(s, s.items_quick, /*seed=*/42);
-    EXPECT_EQ(a, b) << s.name;
-    uint64_t total = 0;
-    for (uint32_t batch : a) {
-      EXPECT_GE(batch, 1u) << s.name;
-      total += batch;
-    }
-    EXPECT_EQ(total, s.items_quick) << s.name;
-  }
-}
-
-TEST(ScenarioDeterminismTest, BatchScheduleIndependentOfWeightDraws) {
-  // Batches derive from a decorrelated RNG stream: two scenarios sharing
-  // an arrival process produce the same schedule for the same seed even
-  // though their weight generators consume different amounts of
-  // randomness.
-  const ScenarioSpec* steady = FindScenario("steady_uniform");
-  const ScenarioSpec* churn = FindScenario("site_churn");
-  ASSERT_NE(steady, nullptr);
-  ASSERT_NE(churn, nullptr);
-  EXPECT_EQ(BuildScenarioBatches(*steady, 600, 9),
-            BuildScenarioBatches(*churn, 600, 9));
 }
 
 TEST(ScenarioDeterminismTest, ChurnMixesRunSeedPreservingSchedule) {
@@ -253,72 +225,6 @@ TEST(ZipfSweepTest, WeightsAtLeastOneAndSkewGrowsWithTheta) {
 }
 
 // ---------------------------------------------------------------------
-// Dynamics units: arrival processes.
-
-TEST(ArrivalsTest, DiurnalOscillatesAroundMeanDeterministically) {
-  DiurnalArrivals proc(/*mean=*/8.0, /*amplitude=*/0.75, /*period=*/50);
-  Rng rng(1);
-  uint64_t lo = ~0ull, hi = 0, total = 0;
-  for (uint64_t step = 0; step < 100; ++step) {
-    const uint64_t b = proc.BatchAt(step, rng);
-    EXPECT_GE(b, 1u);
-    lo = std::min(lo, b);
-    hi = std::max(hi, b);
-    total += b;
-    EXPECT_EQ(b, proc.BatchAt(step, rng));  // deterministic, re-entrant
-  }
-  EXPECT_EQ(proc.BatchAt(0, rng), 8u);  // sin(0) = 0 -> the mean
-  EXPECT_LE(lo, 3u);                    // night trough: 8 * 0.25 = 2
-  EXPECT_GE(hi, 13u);                   // day peak: 8 * 1.75 = 14
-  EXPECT_NEAR(static_cast<double>(total) / 100.0, 8.0, 1.0);
-}
-
-TEST(ArrivalsTest, BurstyEmitsFullBurstsAtBurstRate) {
-  BurstyArrivals proc(/*base=*/2, /*burst=*/32, /*burst_prob=*/0.05,
-                      /*burst_len=*/5);
-  Rng rng(4);
-  std::vector<uint64_t> sizes;
-  for (uint64_t step = 0; step < 4000; ++step) {
-    sizes.push_back(proc.BatchAt(step, rng));
-  }
-  uint64_t bursts = 0;
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    ASSERT_TRUE(sizes[i] == 2 || sizes[i] == 32) << " at " << i;
-    if (sizes[i] == 32 && (i == 0 || sizes[i - 1] == 2)) {
-      ++bursts;
-      // A burst runs for exactly burst_len steps (unless truncated by
-      // the horizon) before the process may fall idle again.
-      for (size_t j = i; j < std::min(i + 5, sizes.size()); ++j) {
-        EXPECT_EQ(sizes[j], 32u) << " burst at " << i << " step " << j;
-      }
-    }
-  }
-  // ~0.05 entry probability per idle step: far more than a handful of
-  // bursts in 4000 steps, with plenty of idle stretches left.
-  EXPECT_GT(bursts, 10u);
-  EXPECT_LT(bursts, 400u);
-}
-
-TEST(ArrivalsDeathTest, BurstyEnforcesSequentialUse) {
-  BurstyArrivals proc(2, 32, 0.05, 5);
-  Rng rng(5);
-  proc.BatchAt(0, rng);
-  EXPECT_DEATH(proc.BatchAt(2, rng), "sequential");
-}
-
-TEST(ArrivalsTest, MaterializeBatchesTruncatesFinalBatch) {
-  DiurnalArrivals proc(8.0, 0.75, 50);
-  Rng rng(6);
-  const auto batches = MaterializeBatches(proc, /*total_items=*/1003, rng);
-  uint64_t total = 0;
-  for (uint32_t b : batches) {
-    EXPECT_GE(b, 1u);
-    total += b;
-  }
-  EXPECT_EQ(total, 1003u);
-}
-
-// ---------------------------------------------------------------------
 // Dynamics units: skewed site ownership.
 
 TEST(SkewedSitePartitionerTest, ProbabilitiesAreNormalizedZipf) {
@@ -359,7 +265,8 @@ TEST(SkewedSitePartitionerDeathTest, RejectsVaryingSiteCount) {
 }
 
 // ---------------------------------------------------------------------
-// Sim <-> engine bit-identity: every scenario, through the paced feeder.
+// Sim <-> engine bit-identity: every scenario, on the step-synchronous
+// engine.
 
 bool SameKeyedSample(const std::vector<KeyedItem>& a,
                      const std::vector<KeyedItem>& b) {
@@ -374,7 +281,6 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
   for (const ScenarioSpec& s : ScenarioRegistry()) {
     const uint64_t seed = 1234;
     const Workload w = BuildScenarioWorkload(s, seed, /*quick=*/true);
-    const auto batches = BuildScenarioBatches(s, w.size(), seed);
 
     WsworConfig config;
     config.num_sites = s.num_sites;
@@ -398,7 +304,7 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
     }
     WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
     eng.AttachCoordinator(&coordinator);
-    eng.RunPaced(w, batches);
+    eng.Run(w);
 
     EXPECT_TRUE(SameKeyedSample(sim_sampler.Sample(), coordinator.Sample()))
         << s.name;
@@ -409,45 +315,6 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
     EXPECT_EQ(sim_stats.words, eng_stats.words) << s.name;
     eng.Shutdown();
   }
-}
-
-TEST(ScenarioEngineTest, PacedRunMatchesPlainRunStepSynchronously) {
-  // With step_synchronous the arrival pacing must change nothing
-  // observable: RunPaced under the bursty schedule equals plain Run.
-  const ScenarioSpec* s = FindScenario("bursty_hotsite");
-  ASSERT_NE(s, nullptr);
-  const Workload w = BuildScenarioWorkload(*s, 77, /*quick=*/true);
-  const auto batches = BuildScenarioBatches(*s, w.size(), 77);
-
-  WsworConfig config;
-  config.num_sites = s->num_sites;
-  config.sample_size = 8;
-  config.seed = 77;
-
-  auto run = [&](bool paced) {
-    engine::EngineConfig engine_config;
-    engine_config.num_sites = s->num_sites;
-    engine_config.step_synchronous = true;
-    engine::Engine eng(engine_config);
-    Rng master(config.seed);
-    std::vector<std::unique_ptr<WsworSite>> sites;
-    for (int i = 0; i < config.num_sites; ++i) {
-      sites.push_back(std::make_unique<WsworSite>(
-          config, i, &eng.transport(), master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
-    eng.AttachCoordinator(&coordinator);
-    if (paced) {
-      eng.RunPaced(w, batches);
-    } else {
-      eng.Run(w);
-    }
-    auto sample = coordinator.Sample();
-    eng.Shutdown();
-    return sample;
-  };
-  EXPECT_TRUE(SameKeyedSample(run(/*paced=*/true), run(/*paced=*/false)));
 }
 
 TEST(ScenarioEngineTest, ChurnScenarioTranscriptIdenticalAcrossBackends) {

@@ -1,80 +1,62 @@
 #!/usr/bin/env python3
-"""Bench regression gate.
+"""Bench gate.
 
-Compares the BENCH_*.json rows emitted by a --quick bench run against the
-committed bench/baseline.json and fails (exit 1) when any gated
-throughput metric drops by more than the allowed fraction. Run from CI
-after the bench-quick jobs, or locally:
+Compares the BENCH_<name>.json rows a --quick bench run wrote against a
+committed gate file and fails (exit 1) when any gated field is outside
+its bound. Two gate files use it: bench/baseline.json (the hot-path and
+engine throughput benches) and bench/envelopes.json (the scenario
+matrix: weighted SWOR's exact inclusion law and Theorem 3's message
+cost). Run from CI after the bench jobs, or locally:
 
     python3 tools/check_bench.py --build-dir build
-    python3 tools/check_bench.py --build-dir build --update   # re-baseline
+    python3 tools/check_bench.py --build-dir build --baseline bench/envelopes.json
+    python3 tools/check_bench.py --build-dir build --update   # re-record
 
-Baseline schema (bench/baseline.json):
+Gate file schema:
 
-    {
-      "max_drop": 0.25,
-      "benches": {
-        "<bench name>": {
-          "key_fields":  ["endpoint", "path"],      # row identity
-          "gate_fields": ["items_per_sec"],         # higher is better
-          "gate_fields_lower": ["query_us_mean"],   # lower is better
-          "max_drop": 0.6,                          # optional override
-          "max_rise": 3.0,                          # optional, lower fields
-          "reference": {<key fields of one row>},   # optional, see below
-          "references": {"<field>": {<key fields>}},  # per-field override
-          "reference_max_drop": 0.75,               # optional
-          "rows": [ {<key fields + gate fields>}, ... ]
-        }
-      }
-    }
+    {"benches": {"<name>": {
+        "key_fields": ["endpoint", "path"],           # row identity
+        "fields": {"<field>": {"kind": ..., <bound>}},
+        "rows": [{<key fields + gated fields>}, ...]}}}
 
-A bench-level "max_drop" overrides the global one: single-threaded
-micro-benches are stable and keep the tight default, while wall-clock
-throughput of a 17-thread engine on a shared CI runner needs a wider
-band — wide tolerances still catch the real cliffs (an accidental -O0
-bench build is a 5-10x drop).
+A field is gated on a row when the recorded row carries it. Kinds:
 
-Normalization ("reference"): when a bench names a reference row — a
-stable single-thread measurement such as the k=2 simulator run — every
-OTHER gated row is additionally compared as a RATIO to the in-run
-reference: current_row/current_ref versus baseline_row/baseline_ref. A
-uniformly slow or fast CI runner cancels out of the ratio, so the
-normalized tolerance measures relative regressions (a lock added to a
-hot path) instead of machine speed. A normalized row fails the gate
-only when it is beyond tolerance BOTH normalized and absolutely: a
-slower runner passes via the ratio, a runner whose core count reshapes
-the multithreaded/single-thread ratio passes via the absolute number,
-and a real regression fails both. The reference row itself is gated
-absolutely with the wider "reference_max_drop" band (default 0.75) —
-its job is only to catch whole-build cliffs like an accidental -O0
-bench, which is a 5-10x drop.
+  floor    current >= an absolute "value", or >= recorded * (1 - "drop").
+           Absolute p-value floors (chisq_p, ks_p) do not compare p with
+           the recorded run: that would turn libm jitter across platforms
+           into failures, while an exact protocol's fixed-seed p sits far
+           above 1e-3 unless the law itself changed.
+           With "drop", an optional "reference" row (its key fields)
+           normalizes the ratio: every other row is also compared as
+           current_row/current_ref against recorded_row/recorded_ref, so
+           a uniformly slow or fast runner cancels out. A normalized row
+           fails only when it is beyond tolerance both normalized and
+           absolutely: a slower runner passes via the ratio, a runner
+           whose core count reshapes the multithreaded/single-thread
+           ratio passes via the absolute number, and a real regression
+           fails both. The reference row itself is gated absolutely with
+           the wider "reference_drop" (default 0.75): its job is only to
+           catch whole-build cliffs such as an accidental -O0 bench, a
+           5-10x drop. A field the reference row does not carry is gated
+           absolutely.
+  ceiling  current <= recorded * (1 + "rise") + "slack" (both default 0).
+           The slack keeps near-zero recorded values (degraded_trials = 0)
+           from demanding exact reproduction across platforms; latency on
+           a shared runner needs a wide rise.
+  exact    current == "value" (a correctness claim: silent_wrong 0,
+           bit_identical 1), or == the recorded value when "value" is
+           absent (cell identity: a cell that changed its configuration is
+           not comparable to its record).
 
-Lower-is-better fields ("gate_fields_lower", e.g. a query latency mean)
-are gated absolutely and in the opposite direction: the row fails when
-the current value exceeds baseline * (1 + max_rise). Latency on a shared
-runner is noisier than throughput, so max_rise defaults to a wide 3.0 —
-the gate exists to catch order-of-magnitude cliffs (a lock added to the
-query path), not jitter. Normalization does not apply to lower fields.
-
-Per-field references ("references"): a bench can name a different
-normalization row per gated field — queries_per_sec rows divide by the
-in-run single-reader uncached query row while items_per_sec rows keep
-dividing by the single-thread simulator run. Fields not in the map fall
-back to the bench-level "reference"; a field its reference row does not
-carry is gated absolutely.
-
-Rows are matched on the exact values of key_fields; a baseline row with
-no matching current row is a HARD error (a silently vanished
-measurement is itself a regression), as are a missing BENCH_*.json file
-and a gated field absent from a current row. --allow-missing downgrades
-all three to informational notes — the escape hatch for intentionally
-restricted local runs (e.g. a bench filtered by --shards); CI runs
-without it. Current rows absent from the baseline are reported but do
-not fail the gate — run --update after intentionally adding rows
-(--update stores RAW values; normalization is applied at check time).
---update --merge=min keeps the smaller of the stored and measured value
-per gated field, so repeated update runs converge on a conservative
-floor (the "min over repeated local runs" baselining convention).
+A missing BENCH file, recorded row or gated field is a hard failure (a
+silently vanished measurement is itself a regression); --allow-missing
+downgrades all three to notes, for intentionally restricted local runs
+(CI runs without it). Current rows absent from the gate file are
+reported as new. --update merges the current rows into the gate file by
+key, keeping only key and gated fields, and keeps rows the run did not
+produce (a restricted run must not un-gate the rest); --merge=min keeps
+the smaller floor and the larger ceiling of stored and measured, so
+repeated updates converge on the loosest observed bound.
 """
 
 import argparse
@@ -82,10 +64,46 @@ import json
 import os
 import sys
 
+# kind -> the bound keys its spec may carry besides "kind".
+KINDS = {
+    "floor": {"value", "drop", "reference", "reference_drop"},
+    "ceiling": {"rise", "slack"},
+    "exact": {"value"},
+}
+BENCH_KEYS = {"key_fields", "fields", "rows"}
+
 
 def load_json(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def validate(gate):
+    """Rejects a malformed gate file: with the bounds in data, a typo would
+    otherwise silently un-gate a field."""
+    for name, bench in gate["benches"].items():
+        def bad(msg):
+            raise SystemExit(f"gate file: {name}: {msg}")
+
+        if set(bench) != BENCH_KEYS:
+            bad(f"keys {sorted(bench)} != {sorted(BENCH_KEYS)}")
+        for field, spec in bench["fields"].items():
+            kind = spec.get("kind")
+            if kind not in KINDS:
+                bad(f"{field}: unknown kind {kind!r}")
+            unknown = set(spec) - KINDS[kind] - {"kind"}
+            if unknown:
+                bad(f"{field}: unknown {kind} key(s) {sorted(unknown)}")
+            if kind == "floor" and ("value" in spec) == ("drop" in spec):
+                bad(f"{field}: a floor needs exactly one of value and drop")
+            if set(spec.get("reference", bench["key_fields"])) != set(
+                    bench["key_fields"]):
+                bad(f"{field}: reference must name exactly the key fields")
+    return gate
+
+
+def load_gate(path):
+    return validate(load_json(path))
 
 
 def row_key(row, key_fields):
@@ -107,200 +125,140 @@ def index_rows(rows, key_fields):
     return out
 
 
-def reference_values(name, spec, base, current, failures):
-    """Returns {field: (ref_key, base_ref_value, cur_ref_value)}.
-
-    A bench names its normalization rows via the bench-level "reference"
-    (one row for every gated field) and/or the per-field "references"
-    map, which overrides the bench-level row for the fields it names —
-    e.g. queries_per_sec normalizes against the in-run single-reader
-    uncached row while items_per_sec keeps the single-thread simulator
-    reference. A field whose reference row does not carry the field is
-    simply not normalized (absolute gate only).
-    """
-    per_field = spec.get("references", {})
+def reference_values(name, bench, recorded, current, missing):
+    """{field: (ref_key, recorded ref value, current ref value)} for each
+    field whose reference row carries it in both the record and the run."""
     refs = {}
     reported = set()
-    for field in spec["gate_fields"]:
-        ref_spec = per_field.get(field, spec.get("reference"))
-        if ref_spec is None:
+    for field, spec in bench["fields"].items():
+        if "reference" not in spec:
             continue
-        ref_key = row_key(ref_spec, spec["key_fields"])
-        base_ref = base.get(ref_key)
-        cur_ref = current.get(ref_key)
-        if base_ref is None or cur_ref is None:
+        ref_key = row_key(spec["reference"], bench["key_fields"])
+        rec_ref, cur_ref = recorded.get(ref_key), current.get(ref_key)
+        if rec_ref is None or cur_ref is None:
             if ref_key not in reported:
                 reported.add(ref_key)
-                failures.append(
-                    f"{name}: reference row [{fmt_key(ref_key)}] missing "
-                    f"from {'baseline' if base_ref is None else 'run'} — "
-                    "cannot normalize")
+                missing(f"{name}: reference row [{fmt_key(ref_key)}] missing "
+                        f"from {'gate file' if rec_ref is None else 'run'} "
+                        "— cannot normalize")
             continue
-        bv, cv = base_ref.get(field), cur_ref.get(field)
-        if bv and cv:
-            refs[field] = (ref_key, bv, cv)
+        rv, cv = rec_ref.get(field), cur_ref.get(field)
+        if rv and cv:
+            refs[field] = (ref_key, rv, cv)
     return refs
 
 
-def check(baseline, build_dir, allow_missing=False):
+def gate_value(spec, key, rec, cur, ref):
+    """(ok, detail) for one gated value; `ref` is its reference_values
+    entry or None."""
+    if spec["kind"] == "exact":
+        want = spec.get("value", rec)
+        return cur == want, f"{cur} (required {want})"
+    if spec["kind"] == "ceiling":
+        bound = rec * (1.0 + spec.get("rise", 0.0)) + spec.get("slack", 0.0)
+        return cur <= bound, (f"{cur:.4g} vs recorded {rec:.4g} "
+                              f"(ceiling {bound:.4g})")
+    if "value" in spec:
+        return cur >= spec["value"], f"{cur:.4g} (floor {spec['value']:g})"
+    ratio = cur / rec if rec else float("inf")
+    detail = f"{cur:.3g} vs recorded {rec:.3g} ({ratio:.2f}x"
+    if ref is not None and key == ref[0]:
+        drop = spec.get("reference_drop", 0.75)
+        return cur >= rec * (1.0 - drop), detail + ", reference)"
+    abs_ok = cur >= rec * (1.0 - spec["drop"])
+    if ref is None:
+        return abs_ok, detail + ")"
+    norm_rec, norm_cur = rec / ref[1], cur / ref[2]
+    norm_ok = norm_cur >= norm_rec * (1.0 - spec["drop"])
+    return norm_ok or abs_ok, (
+        f"{norm_cur:.3g} vs recorded {norm_rec:.3g} normalized "
+        f"({norm_cur / norm_rec:.2f}x, absolute {ratio:.2f}x)")
+
+
+def check(gate, build_dir, allow_missing=False):
     failures = []
     notes = []
 
     def missing(msg):
-        # --allow-missing: a vanished bench file / row / field is reported
-        # but does not fail the gate (escape hatch for intentionally
-        # restricted runs, e.g. a bench binary filtered by --shards).
         if allow_missing:
             notes.append("skip  " + msg)
         else:
-            failures.append(msg)
+            failures.append("MISSING " + msg)
 
-    for name, spec in baseline["benches"].items():
-        max_drop = float(spec.get("max_drop", baseline.get("max_drop", 0.25)))
-        ref_max_drop = float(spec.get("reference_max_drop", 0.75))
-        max_rise = float(spec.get("max_rise", baseline.get("max_rise", 3.0)))
+    for name, bench in gate["benches"].items():
         path = os.path.join(build_dir, f"BENCH_{name}.json")
         if not os.path.exists(path):
             missing(f"{name}: {path} not found — bench did not run")
             continue
-        current = index_rows(load_json(path)["rows"], spec["key_fields"])
-        base = index_rows(spec["rows"], spec["key_fields"])
-        ref_failures = []
-        refs = reference_values(name, spec, base, current, ref_failures)
-        for msg in ref_failures:
-            missing(msg)
-        for key, base_row in base.items():
+        key_fields = bench["key_fields"]
+        current = index_rows(load_json(path)["rows"], key_fields)
+        recorded = index_rows(bench["rows"], key_fields)
+        refs = reference_values(name, bench, recorded, current, missing)
+        for key, rec_row in recorded.items():
             cur_row = current.get(key)
             if cur_row is None:
                 missing(f"{name}: row [{fmt_key(key)}] missing "
                         "from current run")
                 continue
-            for field in spec["gate_fields"]:
-                base_value = base_row.get(field)
-                cur_value = cur_row.get(field)
-                if base_value is None:
+            for field, spec in bench["fields"].items():
+                if rec_row.get(field) is None:
                     continue
-                if cur_value is None:
-                    missing(f"{name}: [{fmt_key(key)}] {field} "
-                            "missing from current run")
+                where = f"{name}: [{fmt_key(key)}] {field}"
+                if cur_row.get(field) is None:
+                    missing(f"{where} missing from current run")
                     continue
-                abs_ok = cur_value >= base_value * (1.0 - max_drop)
-                abs_ratio = (cur_value / base_value if base_value
-                             else float("inf"))
-                if field in refs and key == refs[field][0]:
-                    # The reference itself: absolute gate, wide band —
-                    # catches whole-build cliffs only.
-                    ok = cur_value >= base_value * (1.0 - ref_max_drop)
-                    line = (f"{name}: [{fmt_key(key)}] {field} "
-                            f"{cur_value:.3g} vs baseline {base_value:.3g} "
-                            f"({abs_ratio:.2f}x) (reference, absolute)")
-                elif field in refs:
-                    # Normalize both sides by the in-run single-thread
-                    # reference: machine speed cancels out of the ratio.
-                    # A row fails only when it is beyond tolerance BOTH
-                    # normalized and absolutely — a slower runner passes
-                    # via the ratio, a runner whose core count reshapes
-                    # the engine/sim ratio passes via the absolute
-                    # number, and a real regression fails both.
-                    _, base_ref, cur_ref = refs[field]
-                    norm_base = base_value / base_ref
-                    norm_cur = cur_value / cur_ref
-                    norm_ok = norm_cur >= norm_base * (1.0 - max_drop)
-                    ok = norm_ok or abs_ok
-                    line = (f"{name}: [{fmt_key(key)}] {field} "
-                            f"{norm_cur:.3g} vs baseline {norm_base:.3g} "
-                            f"normalized ({norm_cur / norm_base:.2f}x, "
-                            f"absolute {abs_ratio:.2f}x)")
-                else:
-                    ok = abs_ok
-                    line = (f"{name}: [{fmt_key(key)}] {field} "
-                            f"{cur_value:.3g} vs baseline {base_value:.3g} "
-                            f"({abs_ratio:.2f}x)")
-                if ok:
-                    notes.append("ok    " + line)
-                else:
-                    failures.append("DROP  " + line)
-            for field in spec.get("gate_fields_lower", []):
-                base_value = base_row.get(field)
-                cur_value = cur_row.get(field)
-                if base_value is None:
-                    continue
-                if cur_value is None:
-                    missing(f"{name}: [{fmt_key(key)}] {field} "
-                            "missing from current run")
-                    continue
-                # Lower is better: absolute ceiling only (latency is too
-                # noisy for ratio normalization to help).
-                ratio = (cur_value / base_value if base_value
-                         else float("inf"))
-                line = (f"{name}: [{fmt_key(key)}] {field} "
-                        f"{cur_value:.3g} vs baseline {base_value:.3g} "
-                        f"({ratio:.2f}x, lower is better)")
-                if cur_value <= base_value * (1.0 + max_rise):
-                    notes.append("ok    " + line)
-                else:
-                    failures.append("RISE  " + line)
+                ok, detail = gate_value(spec, key, rec_row[field],
+                                        cur_row[field], refs.get(field))
+                tag = "ok    " if ok else f"{spec['kind'].upper():<8}"
+                (notes if ok else failures).append(f"{tag}{where} {detail}")
         for key in current:
-            if key not in base:
+            if key not in recorded:
                 notes.append(f"new   {name}: [{fmt_key(key)}] not in "
-                             "baseline (run --update to gate it)")
+                             "gate file (run --update to gate it)")
     return failures, notes
 
 
-def update(baseline, build_dir, baseline_path, merge="replace"):
-    for name, spec in baseline["benches"].items():
+def update(gate, build_dir, gate_path, merge="replace"):
+    for name, bench in gate["benches"].items():
         path = os.path.join(build_dir, f"BENCH_{name}.json")
         if not os.path.exists(path):
             print(f"warning: {path} not found — keeping {name}'s "
-                  "baseline rows unchanged")
+                  "rows unchanged")
             continue
-        lower_fields = spec.get("gate_fields_lower", [])
-        kept_fields = spec["key_fields"] + spec["gate_fields"] + lower_fields
-        # Merge by key rather than replace: a restricted run (e.g.
-        # bench_engine_throughput --shards=2) must not silently un-gate
-        # the rows it didn't produce.
-        merged = index_rows(spec["rows"], spec["key_fields"])
+        key_fields, fields = bench["key_fields"], bench["fields"]
+        merged = index_rows(bench["rows"], key_fields)
         for row in load_json(path)["rows"]:
-            key = row_key(row, spec["key_fields"])
-            new_row = {k: row[k] for k in kept_fields if k in row}
-            if merge == "min" and key in merged:
-                # Conservative merge across repeated runs: keep the
-                # smaller throughput but the LARGER latency, so both
-                # gates converge on their loosest observed bound.
-                for field in spec["gate_fields"]:
-                    old = merged[key].get(field)
-                    if old is not None and field in new_row:
-                        new_row[field] = min(old, new_row[field])
-                for field in lower_fields:
-                    old = merged[key].get(field)
-                    if old is not None and field in new_row:
-                        new_row[field] = max(old, new_row[field])
+            key = row_key(row, key_fields)
+            new_row = {k: row[k] for k in key_fields + list(fields) if k in row}
+            old = merged.get(key)
+            if merge == "min" and old is not None:
+                for field, spec in fields.items():
+                    pick = {"floor": min, "ceiling": max}.get(spec["kind"])
+                    if pick and field in new_row and old.get(field) is not None:
+                        new_row[field] = pick(old[field], new_row[field])
             merged[key] = new_row
-        spec["rows"] = list(merged.values())
-    with open(baseline_path, "w", encoding="utf-8") as f:
-        json.dump(baseline, f, indent=1)
+        bench["rows"] = list(merged.values())
+    with open(gate_path, "w", encoding="utf-8") as f:
+        json.dump(gate, f, indent=1)
         f.write("\n")
-    print(f"baseline updated: {baseline_path}")
+    print(f"gate file updated: {gate_path}")
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--build-dir", default="build",
                         help="directory holding the BENCH_*.json outputs")
     parser.add_argument("--baseline", default=None,
-                        help="baseline file (default: bench/baseline.json "
+                        help="gate file (default: bench/baseline.json "
                              "next to this script's repo root)")
-    parser.add_argument("--max-drop", type=float, default=None,
-                        help="override the allowed fractional throughput "
-                             "drop everywhere, including benches with "
-                             "their own max_drop")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from the current run")
+                        help="merge the current rows into the gate file")
     parser.add_argument("--merge", choices=["replace", "min"],
                         default="replace",
-                        help="with --update: 'min' keeps the smaller of "
-                             "stored and measured per gated field "
-                             "(conservative floor over repeated runs)")
+                        help="with --update: 'min' keeps the smaller floor "
+                             "and the larger ceiling of stored and measured")
     parser.add_argument("--allow-missing", action="store_true",
                         help="report missing bench files / rows / gated "
                              "fields instead of failing on them (for "
@@ -309,31 +267,26 @@ def main():
     args = parser.parse_args()
 
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    baseline_path = args.baseline or os.path.join(repo_root, "bench",
-                                                  "baseline.json")
-    baseline = load_json(baseline_path)
-    if args.max_drop is not None:
-        baseline["max_drop"] = args.max_drop
-        for spec in baseline["benches"].values():
-            spec.pop("max_drop", None)  # the flag overrides every tier
-            spec.pop("reference_max_drop", None)
+    gate_path = args.baseline or os.path.join(repo_root, "bench",
+                                              "baseline.json")
+    gate = load_gate(gate_path)
 
     if args.update:
-        update(baseline, args.build_dir, baseline_path, args.merge)
+        update(gate, args.build_dir, gate_path, args.merge)
         return 0
 
-    failures, notes = check(baseline, args.build_dir,
+    failures, notes = check(gate, args.build_dir,
                             allow_missing=args.allow_missing)
     for line in notes:
         print(line)
     for line in failures:
         print(line, file=sys.stderr)
     if failures:
-        print(f"\nbench gate FAILED: {len(failures)} regression(s) beyond "
-              "tolerance", file=sys.stderr)
+        print(f"\nbench gate FAILED: {len(failures)} failure(s) against "
+              f"{gate_path}", file=sys.stderr)
         return 1
-    print(f"\nbench gate passed ({len(notes)} measurements within "
-          "tolerance of baseline)")
+    print(f"\nbench gate passed ({len(notes)} checks within bounds of "
+          f"{gate_path})")
     return 0
 
 
