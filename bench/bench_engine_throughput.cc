@@ -56,9 +56,10 @@
 //
 // Results are written to BENCH_engine_throughput.json (schema: name,
 // params, rows[workload, backend, k, batch_size, shards, items_per_sec,
-// messages, ...]; the live_query row adds queries_per_sec, query_us_mean
-// and the registry histogram's query_us_p50/query_us_p99; the
-// query_scale_* rows add readers, cache and the merge-cache counters).
+// messages, wasted_messages, ...]; the live_query row adds
+// queries_per_sec, query_us_mean and the registry histogram's
+// query_us_p50/query_us_p99; the query_scale_* rows add readers, cache
+// and the merge-cache counters).
 
 #include <atomic>
 #include <chrono>
@@ -83,6 +84,9 @@ struct BackendResult {
   double seconds = 0.0;
   double items_per_sec = 0.0;
   uint64_t messages = 0;
+  // Arrivals sent on superseded control state (sim/node.h); the paced
+  // engine Run keeps this small, the simulator has none.
+  uint64_t wasted_messages = 0;
   // Site hot-path counters (engine rows; the sim facade reports the same
   // totals through DistributedWswor::KeysDecided for cross-checking).
   uint64_t keys_decided = 0;
@@ -109,6 +113,7 @@ BackendResult RunSim(const Workload& w, int k, int s, uint64_t seed) {
   result.seconds = t1 - t0;
   result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
   result.messages = sampler.stats().total_messages();
+  result.wasted_messages = sampler.coordinator().wasted_messages();
   result.keys_decided = sampler.KeysDecided();
   result.key_bits = sampler.KeyBitsConsumed();
   return result;
@@ -135,6 +140,7 @@ BackendResult RunEngine(const Workload& w, const engine::EngineConfig& econfig,
   result.seconds = t1 - t0;
   result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
   result.messages = eng.stats().total_messages();
+  result.wasted_messages = eng.stats().wasted_messages.load();
   result.keys_decided = eng.stats().keys_decided.load();
   result.key_bits = eng.stats().key_bits_consumed.load();
   result.skips_taken = eng.stats().skips_taken.load();
@@ -177,6 +183,7 @@ BackendResult RunShardedWswor(const Workload& w, int k, int shards, int s,
   result.seconds = t1 - t0;
   result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
   result.messages = eng.AggregateMessageSnapshot().total_messages();
+  result.wasted_messages = eng.WastedMessages();
   result.per_shard_messages = JoinCounts(eng.PerShardMessages());
   eng.Shutdown();
   return result;
@@ -210,6 +217,7 @@ BackendResult RunNaiveMessageHeavy(const Workload& w, int k, int shards,
     result.seconds = t1 - t0;
     result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
     result.messages = eng.stats().total_messages();
+    result.wasted_messages = eng.stats().wasted_messages.load();
     eng.Shutdown();
     return result;
   }
@@ -235,6 +243,7 @@ BackendResult RunNaiveMessageHeavy(const Workload& w, int k, int shards,
   result.seconds = t1 - t0;
   result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
   result.messages = eng.AggregateMessageSnapshot().total_messages();
+  result.wasted_messages = eng.WastedMessages();
   result.per_shard_messages = JoinCounts(eng.PerShardMessages());
   eng.Shutdown();
   return result;
@@ -282,6 +291,7 @@ BackendResult RunLiveQuery(const Workload& w, int k, int shards, int s,
   result.seconds = t1 - t0;
   result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
   result.messages = eng.AggregateMessageSnapshot().total_messages();
+  result.wasted_messages = eng.WastedMessages();
   result.per_shard_messages = JoinCounts(eng.PerShardMessages());
   const double q = static_cast<double>(queries.load());
   *queries_per_sec = q / (t1 - t0);
@@ -347,6 +357,7 @@ BackendResult RunQueryScale(const Workload& w, int k, int shards, int s,
   result.seconds = t1 - t0;
   result.items_per_sec = static_cast<double>(w.size()) / (t1 - t0);
   result.messages = eng.AggregateMessageSnapshot().total_messages();
+  result.wasted_messages = eng.WastedMessages();
   result.per_shard_messages = JoinCounts(eng.PerShardMessages());
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
@@ -385,6 +396,7 @@ void Report(bench::JsonBench& json, const std::string& workload,
       .Field("shards", static_cast<uint64_t>(shards))
       .Field("items_per_sec", r.items_per_sec)
       .Field("messages", r.messages)
+      .Field("wasted_messages", r.wasted_messages)
       .Field("keys_decided", r.keys_decided)
       .Field("key_bits_consumed", r.key_bits)
       .Field("skips_taken", r.skips_taken)
@@ -415,8 +427,10 @@ int Main(bool quick, int shards_filter) {
     const BackendResult eng = RunEngine(w, k, s, /*seed=*/101, batch);
     Report(json, "zipf", "sim", k, 1, sim);
     Report(json, "zipf", "engine", k, batch, eng);
-    bench::Row("    -> engine/sim speedup at k=%d: %.2fx", k,
-               eng.items_per_sec / sim.items_per_sec);
+    bench::Row("    -> engine/sim speedup at k=%d: %.2fx, messages %.2fx", k,
+               eng.items_per_sec / sim.items_per_sec,
+               static_cast<double>(eng.messages) /
+                   static_cast<double>(sim.messages));
   }
 
   // Worst case for the engine: all items on one hot site (hopping every
@@ -429,6 +443,11 @@ int Main(bool quick, int shards_filter) {
     const BackendResult eng = RunEngine(w, k, s, /*seed=*/102, batch);
     Report(json, "adversarial", "sim", k, 1, sim);
     Report(json, "adversarial", "engine", k, batch, eng);
+    bench::Row("    -> engine/sim speedup on adversarial: %.2fx, messages "
+               "%.2fx",
+               eng.items_per_sec / sim.items_per_sec,
+               static_cast<double>(eng.messages) /
+                   static_cast<double>(sim.messages));
   }
 
   // Batch-size sensitivity at k=8: the amortization knob.

@@ -99,6 +99,10 @@ void WsworCoordinator::OnMessage(int /*site*/, const sim::Payload& msg) {
       int saturated_level = -1;
       std::vector<KeyedItem> released =
           levels_.AddEarly(item, key, &saturated_level);
+      // AddEarly hands an arrival at an already-saturated level straight
+      // back (saturated_level stays -1): the site sent it before hearing
+      // that level's saturation broadcast.
+      if (saturated_level < 0 && !released.empty()) ++wasted_messages_;
       for (const KeyedItem& ki : released) AddToSample(ki.item, ki.key);
       if (saturated_level >= 0) {
         sim::Payload note;
@@ -111,6 +115,11 @@ void WsworCoordinator::OnMessage(int /*site*/, const sim::Payload& msg) {
     }
     case kWsworRegular: {
       ++regular_received_;
+      // Sites send only keys above their threshold, so a key at or below
+      // the announced one was sent before the announcement arrived.
+      if (announced_epoch_ >= 0 && msg.y <= PowInt(base_, announced_epoch_)) {
+        ++wasted_messages_;
+      }
       // The heap applies the v > u filter of Algorithm 2 line 19 (the
       // site filtered by a possibly stale epoch threshold).
       AddToSample(Item{msg.a, msg.x}, msg.y);

@@ -72,6 +72,12 @@ class WsworCoordinator : public sim::CoordinatorNode {
   uint64_t early_received() const { return early_received_; }
   uint64_t regular_received() const { return regular_received_; }
 
+  // Early arrivals at a level already saturated, plus regular arrivals
+  // whose key is at or below the announced epoch threshold: both were
+  // sent before the site heard a broadcast. A diagnostic, not part of
+  // the checkpointed State.
+  uint64_t wasted_messages() const override { return wasted_messages_; }
+
   // The protocol messages that rebuild a crashed-and-restarted site's
   // filter state from coordinator state: the current epoch threshold (if
   // announced) plus one saturation notice per saturated level. All are
@@ -133,6 +139,7 @@ class WsworCoordinator : public sim::CoordinatorNode {
   int trace_shard_ = 0;
   uint64_t early_received_ = 0;
   uint64_t regular_received_ = 0;
+  uint64_t wasted_messages_ = 0;
   uint64_t state_version_ = 0;
   std::function<void(const SampleDelta&)> sample_delta_hook_;
 };

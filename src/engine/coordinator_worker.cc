@@ -64,19 +64,22 @@ void CoordinatorWorker::Wake() {
 }
 
 bool CoordinatorWorker::DrainOnce() {
+  // A pass takes at most one inbox's worth, so producers refilling the
+  // inbox as fast as it drains cannot postpone the pass's publish.
   UpstreamMessage m;
-  bool did_work = false;
-  while (inbox_.TryPop(&m)) {
+  uint64_t processed = 0;
+  while (processed < queue_capacity_ && inbox_.TryPop(&m)) {
     node_->OnMessage(m.site, m.msg);
-    // Publish before counting the message done: a quiesce waiter that
-    // observes pushed == done is then guaranteed to read a snapshot that
-    // includes this message (see the header comment).
-    if (snapshot_hook_) snapshot_hook_();
-    done_.fetch_add(1);
-    did_work = true;
+    ++processed;
   }
-  if (did_work) bus_->NotifyProgress();
-  return did_work;
+  if (processed == 0) return false;
+  // Publish once per pass, before counting the pass done: a quiesce
+  // waiter that observes pushed == done then reads a snapshot that covers
+  // every processed message (see the header comment).
+  if (snapshot_hook_) snapshot_hook_();
+  done_.fetch_add(processed);
+  bus_->NotifyProgress();
+  return true;
 }
 
 void CoordinatorWorker::ThreadMain() {

@@ -9,16 +9,19 @@
 // coordinator falls behind; the stalled site stops draining its item
 // queue, which eventually blocks the feeder — end-to-end flow control.
 //
-// Snapshot publication: an optional hook runs on this thread after every
-// processed message, BEFORE the message's done-counter increment. The
+// Snapshot publication: an optional hook runs on this thread once per
+// drain pass — after the pass's messages (at most queue_capacity of them)
+// are processed and BEFORE the pass's done-counter increment. The
 // ordering matters: a quiesce waiter observes pushed == done only after
-// the hook for the final message has returned, so at any quiesce point
-// the last published snapshot is the fully-drained coordinator state —
-// the edge the live-query layer's step-synchronous equivalence rests on.
+// the hook for the final pass has returned, so at any quiesce point the
+// last published snapshot is the fully-drained coordinator state — the
+// edge the live-query layer's step-synchronous equivalence rests on.
 // Every invocation sees the coordinator at a shard-local quiesce point
 // of its delivered-message prefix (the endpoint is between OnMessage
 // calls), which is what makes the published snapshots valid query
-// states mid-stream.
+// states mid-stream. A pass drains whatever is queued, so a burst of
+// messages pays one publish; a step-synchronous step that sends at most
+// one message is one pass, so its publish history is per message.
 
 #ifndef DWRS_ENGINE_COORDINATOR_WORKER_H_
 #define DWRS_ENGINE_COORDINATOR_WORKER_H_
@@ -46,7 +49,7 @@ class CoordinatorWorker {
   CoordinatorWorker(const CoordinatorWorker&) = delete;
   CoordinatorWorker& operator=(const CoordinatorWorker&) = delete;
 
-  // Installs the per-message snapshot hook (see the header comment).
+  // Installs the per-pass snapshot hook (see the header comment).
   // Must be called before Start().
   void SetSnapshotHook(std::function<void()> hook) {
     DWRS_CHECK(!thread_.joinable()) << " set the hook before Start()";

@@ -129,6 +129,9 @@ void Engine::WaitQuiesce() {
     return AllIdle() && TotalUnitsPushed() == created;
   });
   stats_.quiesces.fetch_add(1, std::memory_order_relaxed);
+  // Legal for the same reason as CollectSiteCounters, and O(1).
+  stats_.wasted_messages.store(coordinator_node_->wasted_messages(),
+                               std::memory_order_relaxed);
 }
 
 void Engine::CollectSiteCounters() {
@@ -145,16 +148,20 @@ void Engine::CollectSiteCounters() {
   stats_.skips_taken.store(total.skips_taken, std::memory_order_relaxed);
 }
 
-void Engine::Flush() {
+void Engine::HandOffAll(bool caller_runs) {
   DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
+  for (int site = 0; site < config_.num_sites; ++site) {
+    HandOffBatch(site, /*wake=*/!caller_runs);
+  }
+  if (caller_runs) scheduler_->RunQueuedSites();
+}
+
+void Engine::Flush() {
   // Caller-runs: this thread is about to block until the sites drain, so
   // it runs them itself rather than wake a worker and wait for it — on a
   // busy or single CPU that wake is a context switch per flush.
-  for (int site = 0; site < config_.num_sites; ++site) {
-    HandOffBatch(site, /*wake=*/false);
-  }
-  scheduler_->RunQueuedSites();
+  HandOffAll(/*caller_runs=*/true);
   WaitQuiesce();
   CollectSiteCounters();
 }
@@ -165,15 +172,30 @@ void Engine::Run(const Workload& workload,
   DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
   const bool step_synchronous = config_.step_synchronous || on_step != nullptr;
+  // Events left before the next quiesce, pinned at 1 step-synchronously.
+  // A local, not a member: the per-event cost stays one decrement and
+  // branch that the compiler keeps in a register.
+  uint64_t countdown = step_synchronous ? 1 : pacer_.interval();
+  const auto wasted = [this] {
+    return stats_.wasted_messages.load(std::memory_order_relaxed);
+  };
   for (uint64_t i = 0; i < workload.size(); ++i) {
     const WorkloadEvent& event = workload.event(i);
     Append(event.site, event.item);  // sites checked by Workload
+    if (--countdown != 0) continue;
     if (step_synchronous) {
       Flush();
       if (on_step) on_step(i + 1);
+      countdown = 1;
+    } else {
+      // A paced quiesce: Flush without its O(k) visit of every site.
+      HandOffAll(/*caller_runs=*/true);
+      WaitQuiesce();
+      countdown = pacer_.Next(wasted());
     }
   }
   Flush();
+  if (!step_synchronous) pacer_.Next(wasted());
 }
 
 void Engine::Shutdown() {

@@ -52,6 +52,7 @@
 #ifndef DWRS_ENGINE_ENGINE_H_
 #define DWRS_ENGINE_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -68,6 +69,33 @@
 #include "stream/workload.h"
 
 namespace dwrs::engine {
+
+// Run's quiesce pacing rule, one copy for Engine and ShardedEngine:
+// multiplicative backoff on measured waste (cf. Jacobson, "Congestion
+// Avoidance and Control", SIGCOMM 1988). Feeder thread only.
+class QuiescePacer {
+ public:
+  // Events to feed before the next paced quiesce.
+  uint64_t interval() const { return interval_; }
+
+  // Called at a paced quiesce with the cumulative wasted-message count;
+  // halves the interval (floor 1) if it grew since the last call, else
+  // doubles it (saturating). Returns the new interval.
+  uint64_t Next(uint64_t wasted) {
+    if (wasted > last_wasted_) {
+      interval_ = std::max<uint64_t>(1, interval_ / 2);
+    } else {
+      interval_ = std::min(2 * interval_, kMaxInterval);
+    }
+    last_wasted_ = wasted;
+    return interval_;
+  }
+
+ private:
+  static constexpr uint64_t kMaxInterval = uint64_t{1} << 62;
+  uint64_t interval_ = 1;
+  uint64_t last_wasted_ = 0;
+};
 
 class Engine : public sim::Transport {
  public:
@@ -100,7 +128,7 @@ class Engine : public sim::Transport {
   void AttachCoordinator(sim::CoordinatorNode* node);
 
   // Installs a snapshot-publication hook that the coordinator thread
-  // invokes after every processed message (before the message's
+  // invokes once per drain pass (after the pass's messages, before its
   // done-counter increment; see engine/coordinator_worker.h). The hook
   // may read the attached coordinator endpoint and this engine's stats —
   // it runs on the one thread that owns the endpoint — and must publish
@@ -133,6 +161,18 @@ class Engine : public sim::Transport {
   // invokes the hook with the 1-based prefix length — the continuous-
   // query mode, mirroring sim::Runtime::Run. With config().step_synchronous
   // the same pacing applies even without a hook.
+  //
+  // Otherwise the run is pipelined and paced: it quiesces every
+  // interval() events of a QuiescePacer that persists across Run calls
+  // (the interval starts at 1 on a fresh engine, halves when the
+  // coordinator's wasted_messages() grew since the last paced quiesce,
+  // and doubles when it did not). While the protocol's thresholds move,
+  // sites that outrun the coordinator send on superseded control state;
+  // the quiesces deliver the broadcasts before that waste piles up, which
+  // holds the message count near the simulator's. Once the thresholds
+  // settle the interval outgrows the stream, so a stream without waste
+  // (the naive protocol) quiesces floor(log2(n + 1)) + 1 times on a
+  // fresh engine. Push and Flush never pace.
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr);
 
@@ -166,7 +206,16 @@ class Engine : public sim::Transport {
   void HandOffBatch(int site, bool wake = true);
   void RefillPending(int site);
   void CollectSiteCounters();
+  // The two halves of a quiesce. HandOffAll hands every partial batch to
+  // the scheduler; with `caller_runs` this thread then runs the queued
+  // sites itself instead of waking a pool worker. WaitQuiesce blocks
+  // until the engine is quiescent and folds the coordinator's waste.
+  // Flush adds the O(k) fold of every site's hot-path counters; Run's
+  // paced quiesces, and ShardedEngine's (hence the friend), skip it, so
+  // a paced quiesce does not visit each of up to 10^5 site endpoints.
+  void HandOffAll(bool caller_runs);
   void WaitQuiesce();
+  friend class ShardedEngine;
   bool AllIdle() const;
   uint64_t TotalUnitsPushed() const;
   void Account(const sim::Payload& msg, bool upstream);
@@ -183,6 +232,7 @@ class Engine : public sim::Transport {
   std::unique_ptr<CoordinatorWorker> coordinator_worker_;
 
   std::vector<ItemBatch> pending_;  // per-site ingestion buffers
+  QuiescePacer pacer_;              // Run's quiesce interval
   std::atomic<uint64_t> steps_{0};
   bool started_ = false;
   bool shut_down_ = false;

@@ -61,18 +61,30 @@ void ShardedEngine::Run(const Workload& workload,
   DWRS_CHECK_EQ(workload.num_sites(), topology_.num_sites());
   const bool step_synchronous =
       config_.shard.step_synchronous || on_step != nullptr;
+  // One countdown for the whole engine, as in Engine::Run.
+  uint64_t countdown = step_synchronous ? 1 : pacer_.interval();
   for (uint64_t i = 0; i < workload.size(); ++i) {
     const WorkloadEvent& event = workload.event(i);
-    const int shard = topology_.ShardOf(event.site);
-    shards_[Index(shard)]->Push(topology_.LocalOf(event.site), event.item);
+    Engine& owner = *shards_[Index(topology_.ShardOf(event.site))];
+    owner.Push(topology_.LocalOf(event.site), event.item);
+    if (--countdown != 0) continue;
     if (step_synchronous) {
       // Only the owning shard can have in-flight work: quiescing it alone
       // reproduces sim::ShardedRuntime's per-event delivery exactly.
-      shards_[Index(shard)]->Flush();
+      owner.Flush();
       if (on_step) on_step(i + 1);
+      countdown = 1;
+    } else {
+      // Every shard at once, each on its own pool: the shards' partial
+      // batches then run in parallel, where caller-runs on this one
+      // thread would serialize them. Then wait for each shard.
+      for (auto& shard : shards_) shard->HandOffAll(/*caller_runs=*/false);
+      for (auto& shard : shards_) shard->WaitQuiesce();
+      countdown = pacer_.Next(WastedMessages());
     }
   }
   Flush();
+  if (!step_synchronous) pacer_.Next(WastedMessages());
 }
 
 void ShardedEngine::Shutdown() {
@@ -96,6 +108,14 @@ std::vector<uint64_t> ShardedEngine::PerShardMessages() const {
     out.push_back(shard->stats().total_messages());
   }
   return out;
+}
+
+uint64_t ShardedEngine::WastedMessages() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->stats().wasted_messages.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 uint64_t ShardedEngine::steps() const {

@@ -70,7 +70,7 @@ class ShardedEngine {
   void AttachShardCoordinator(int shard, sim::CoordinatorNode* node);
 
   // Installs shard `shard`'s snapshot-publication hook, invoked on that
-  // shard's coordinator thread after every processed message (see
+  // shard's coordinator thread once per drain pass (see
   // engine/engine.h) — the publication side of the live query path
   // (src/query/). Install before the first Push/Run/Flush.
   void SetShardSnapshotHook(int shard, std::function<void()> hook);
@@ -87,7 +87,10 @@ class ShardedEngine {
   // Runs the full global workload and ends with Flush(). An on_step hook
   // (or shard.step_synchronous) forces step-synchronous execution —
   // quiescing the owning shard after every event — which replays
-  // sim::ShardedRuntime bit for bit.
+  // sim::ShardedRuntime bit for bit. Otherwise the run is paced as
+  // engine::Engine::Run is, by one QuiescePacer for the whole engine: a
+  // paced quiesce hands every shard's partial batches to that shard's
+  // own pool, waits for all shards, and reads WastedMessages().
   void Run(const Workload& workload,
            const std::function<void(uint64_t)>& on_step = nullptr);
 
@@ -101,6 +104,8 @@ class ShardedEngine {
   // including per-shard message counts — via shard_engine(j).stats().
   sim::MessageStats AggregateMessageSnapshot() const;
   std::vector<uint64_t> PerShardMessages() const;
+  // EngineStats::wasted_messages summed over shards (quiesce points only).
+  uint64_t WastedMessages() const;
 
   // Global events handed off so far (sum of shard step clocks).
   uint64_t steps() const;
@@ -115,6 +120,7 @@ class ShardedEngine {
   ShardTopology topology_;
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<const sim::CoordinatorNode*> coordinators_;
+  QuiescePacer pacer_;  // Run's quiesce interval
 };
 
 }  // namespace dwrs::engine

@@ -57,9 +57,9 @@ struct EngineStats {
   std::atomic<uint64_t> batch_pool_misses{0};
 
   // Live-query publication: snapshots this engine's coordinator hook
-  // pushed into its SnapshotPublisher ring (one per processed
-  // coordinator message when live queries are enabled, plus the eager
-  // initial publish). The cached query path's copies-avoided counter
+  // pushed into its SnapshotPublisher ring (one per coordinator drain
+  // pass when live queries are enabled, plus the eager initial
+  // publish). The cached query path's copies-avoided counter
   // lives with the QueryService (query/query_service.h) — this side
   // counts what the ingestion thread paid.
   std::atomic<uint64_t> snapshot_publishes{0};
@@ -72,6 +72,13 @@ struct EngineStats {
   std::atomic<uint64_t> keys_decided{0};
   std::atomic<uint64_t> key_bits_consumed{0};
   std::atomic<uint64_t> skips_taken{0};
+
+  // The attached coordinator's wasted_messages() (sim/node.h), folded at
+  // every quiesce point (the hot-path counters above at every Flush):
+  // arrivals sent on control state the coordinator had already
+  // superseded. Run paces its quiesces by it (engine/engine.h); 0
+  // step-synchronously.
+  std::atomic<uint64_t> wasted_messages{0};
 
   uint64_t total_messages() const {
     return site_to_coord.load(std::memory_order_relaxed) +

@@ -203,11 +203,15 @@ class CoordinatorSession : public sim::CoordinatorNode {
   // The session is transparent to the root merge stage: a sharded
   // backend attached to sessions still answers MergedSample queries with
   // the inner coordinators' summaries. Version forwarding keeps the
-  // live-query snapshot layer oblivious to the session wrapper too.
+  // live-query snapshot layer oblivious to the session wrapper too, and
+  // waste forwarding lets a pipelined backend pace quiesces through it.
   MergeableSample ShardSample() const override {
     return inner_->ShardSample();
   }
   uint64_t StateVersion() const override { return inner_->StateVersion(); }
+  uint64_t wasted_messages() const override {
+    return inner_->wasted_messages();
+  }
 
   // --- introspection ---------------------------------------------------
   // FNV-1a fold of every in-order delivered message (site, stamps and

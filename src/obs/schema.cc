@@ -66,6 +66,7 @@ void AppendEngineStats(const engine::EngineStats& stats,
   hot.key_bits_consumed = get(stats.key_bits_consumed);
   hot.skips_taken = get(stats.skips_taken);
   AppendHotPathCounters(hot, prefix, out);
+  out->Append(Join(prefix, "wasted_messages"), get(stats.wasted_messages));
 }
 
 void AppendQueryServiceStats(const query::QueryServiceStats& stats,

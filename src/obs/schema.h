@@ -49,9 +49,9 @@ void AppendHotPathCounters(const sim::SiteHotPathCounters& counters,
 // The message fields above, then items_ingested, batches_ingested,
 // ingest_stalls, upstream_stalls, quiesces, batches_recycled,
 // batch_pool_misses, sites_scheduled, flush_dispatches, steals,
-// worker_parks, batches_dropped_on_shutdown, snapshot_publishes and the
-// hot-path counters. Quiesce points only (relaxed reads, like
-// EngineStats itself).
+// worker_parks, batches_dropped_on_shutdown, snapshot_publishes, the
+// hot-path counters and wasted_messages. Quiesce points only (relaxed
+// reads, like EngineStats itself).
 void AppendEngineStats(const engine::EngineStats& stats,
                        const std::string& prefix, Snapshot* out);
 

@@ -79,11 +79,12 @@ void PublishWsworSnapshots(const sim::ShardedRuntime& runtime,
     const WsworCoordinator& coordinator =
         *endpoints.coordinators[static_cast<size_t>(j)];
     // Publish only when the shard's state advanced since the last
-    // publish — mirroring the engine, whose hook fires exactly once per
-    // processed message. The latest snapshots of the two backends (steps
-    // and traffic stamps included) then coincide at every step boundary;
-    // without the skip, an event that produces no message for a shard
-    // would advance the reference's `steps` stamp but not the engine's.
+    // publish — mirroring the engine, whose hook fires once per
+    // coordinator drain pass, and a step-synchronous step is at most one
+    // pass. The latest snapshots of the two backends (steps and traffic
+    // stamps included) then coincide at every step boundary; without the
+    // skip, an event that produces no message for a shard would advance
+    // the reference's `steps` stamp but not the engine's.
     SnapshotPublisher& publisher = publishers.shard(j);
     if (publisher.publish_count() > 0 &&
         publisher.published_state_version() == coordinator.StateVersion()) {

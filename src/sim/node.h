@@ -117,6 +117,13 @@ class CoordinatorNode {
   // equal state). 0 before the first message; coordinators without
   // version tracking report 0 forever.
   virtual uint64_t StateVersion() const { return 0; }
+  // Arrivals a site sent on control state this coordinator had already
+  // superseded: messages a step-synchronous run would not have sent, so
+  // exactly 0 there (every control message reaches every site before the
+  // next event). Pipelined backends read it at quiesce points to pace
+  // their quiesces (engine/engine.h). Protocols without threshold
+  // control state report 0.
+  virtual uint64_t wasted_messages() const { return 0; }
 };
 
 // The validated per-shard summary every sharded backend's root merge

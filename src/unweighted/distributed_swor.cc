@@ -70,6 +70,7 @@ UsworCoordinator::UsworCoordinator(const UsworConfig& config,
 void UsworCoordinator::OnMessage(int /*site*/, const sim::Payload& msg) {
   DWRS_CHECK_EQ(msg.type, static_cast<uint32_t>(kUsworCandidate));
   ++state_version_;
+  if (msg.y >= tau_hat_) ++wasted_messages_;
   // Keep the s smallest uniform keys by storing negated keys in the
   // top-key (max side) heap.
   smallest_.Offer(-msg.y, Item{msg.a, msg.x});

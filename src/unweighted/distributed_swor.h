@@ -81,6 +81,9 @@ class UsworCoordinator : public sim::CoordinatorNode {
   MergeableSample ShardSample() const override;
 
   uint64_t StateVersion() const override { return state_version_; }
+  // Candidates whose key is at or above the announced threshold: sent
+  // before the site heard the announcement.
+  uint64_t wasted_messages() const override { return wasted_messages_; }
 
   // Current unweighted SWOR (size min(t, s)).
   std::vector<Item> Sample() const;
@@ -99,6 +102,7 @@ class UsworCoordinator : public sim::CoordinatorNode {
   TopKeyHeap<Item> smallest_;  // keyed by -u so the heap keeps min keys
   double tau_hat_ = 1.0;
   uint64_t state_version_ = 0;
+  uint64_t wasted_messages_ = 0;
 };
 
 // Items of a merged unweighted shard summary, ascending by true uniform

@@ -381,6 +381,147 @@ TEST(EngineDistributionTest, ThroughputModeMaxKeyKsTest) {
 }
 
 // ---------------------------------------------------------------------
+// Pipelined message cost: the gate on the paper's message bound for the
+// pipelined engine. A fresh engine's sites outrun its one coordinator
+// while the thresholds still move, so without pacing they send 2.7-6x the
+// simulator's messages on superseded control state; Run's waste-paced
+// quiesces (engine/engine.h) hold the count near the simulator's.
+
+Workload PaperZipfWorkload(int k, uint64_t n, uint64_t seed) {
+  return WorkloadBuilder()
+      .num_sites(k)
+      .num_items(n)
+      .seed(seed)
+      .weights(std::make_unique<ZipfWeights>(uint64_t{1} << 20, 1.1))
+      .partitioner(std::make_unique<RandomPartitioner>())
+      .Build();
+}
+
+Workload HotSiteWorkload(int k, uint64_t n, uint64_t seed) {
+  return WorkloadBuilder()
+      .num_sites(k)
+      .num_items(n)
+      .seed(seed)
+      .weights(std::make_unique<SelfSimilarWeights>())
+      .partitioner(std::make_unique<AdversarialPartitioner>(
+          /*hop_every=*/4096))
+      .Build();
+}
+
+// Messages of a pipelined Run on a fresh engine over the simulator's.
+double PipelinedMessageRatio(const WsworConfig& config, const Workload& w) {
+  DistributedWswor sim_sampler(config);
+  sim_sampler.Run(w);
+  EngineWswor es(config, EngineConfig{.num_sites = config.num_sites});
+  es.eng.Run(w);
+  return static_cast<double>(es.eng.stats().total_messages()) /
+         static_cast<double>(sim_sampler.stats().total_messages());
+}
+
+TEST(EngineMessageCostTest, PipelinedZipfRunStaysNearTheSimulator) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const WsworConfig config{.num_sites = 8, .sample_size = 32, .seed = seed};
+    EXPECT_LE(PipelinedMessageRatio(config, PaperZipfWorkload(8, 200000, seed)),
+              1.20)
+        << " seed " << seed;
+  }
+}
+
+TEST(EngineMessageCostTest, PipelinedHotSiteRunStaysNearTheSimulator) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const WsworConfig config{.num_sites = 8, .sample_size = 32, .seed = seed};
+    EXPECT_LE(PipelinedMessageRatio(config, HotSiteWorkload(8, 200000, seed)),
+              1.5)
+        << " seed " << seed;
+  }
+}
+
+TEST(EngineMessageCostTest, WasteIsZeroExactlyWhenControlIsSynchronous) {
+  const WsworConfig config{.num_sites = 4, .sample_size = 8, .seed = 17};
+  const Workload w = PaperZipfWorkload(4, 20000, /*seed=*/19);
+
+  DistributedWswor sim_sampler(config);
+  sim_sampler.Run(w);
+  EXPECT_EQ(sim_sampler.coordinator().wasted_messages(), 0u);
+
+  EngineWswor es(config,
+                 EngineConfig{.num_sites = 4, .step_synchronous = true});
+  es.eng.Run(w);
+  EXPECT_EQ(es.coordinator->wasted_messages(), 0u);
+  EXPECT_EQ(es.eng.stats().wasted_messages.load(), 0u);
+
+  // Not vacuous: a delaying network delivers broadcasts late, and the
+  // sends made on the stale state are counted.
+  WsworConfig delayed = config;
+  delayed.delivery_delay = 8;
+  DistributedWswor delayed_sampler(delayed);
+  delayed_sampler.Run(w);
+  delayed_sampler.FlushNetwork();
+  EXPECT_GT(delayed_sampler.coordinator().wasted_messages(), 0u);
+}
+
+TEST(EngineMessageCostTest, UnweightedWasteCountsLateThresholdSends) {
+  const UsworConfig config{.num_sites = 3, .sample_size = 5, .seed = 13};
+  const Workload w = WorkloadBuilder()
+                         .num_sites(3)
+                         .num_items(20000)
+                         .seed(41)
+                         .weights(std::make_unique<ConstantWeights>(1.0))
+                         .partitioner(std::make_unique<RoundRobinPartitioner>())
+                         .Build();
+  for (const int delay : {0, 8}) {
+    sim::Runtime runtime(config.num_sites, delay);
+    Rng master(config.seed);
+    std::vector<std::unique_ptr<UsworSite>> sites;
+    for (int i = 0; i < config.num_sites; ++i) {
+      sites.push_back(std::make_unique<UsworSite>(
+          config, i, &runtime.network(), master.NextU64()));
+      runtime.AttachSite(i, sites.back().get());
+    }
+    UsworCoordinator coordinator(config, &runtime.network());
+    runtime.AttachCoordinator(&coordinator);
+    runtime.Run(w);
+    runtime.Flush();
+    if (delay == 0) {
+      EXPECT_EQ(coordinator.wasted_messages(), 0u);
+    } else {
+      EXPECT_GT(coordinator.wasted_messages(), 0u);
+    }
+  }
+}
+
+TEST(EngineMessageCostTest, WastelessRunQuiescesLogarithmically) {
+  // The naive protocol has no control state to supersede, so the pacing
+  // interval doubles at every paced quiesce.
+  const int k = 4, s = 8;
+  const uint64_t n = 60000;
+  Engine eng(EngineConfig{.num_sites = k});
+  Rng master(23);
+  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
+  for (int i = 0; i < k; ++i) {
+    sites.push_back(std::make_unique<NaiveWsworSite>(s, i, &eng.transport(),
+                                                     master.NextU64()));
+    eng.AttachSite(i, sites.back().get());
+  }
+  NaiveWsworCoordinator coordinator(s);
+  eng.AttachCoordinator(&coordinator);
+  eng.Run(ZipfWorkload(k, n, /*seed=*/29));
+  EXPECT_EQ(eng.stats().wasted_messages.load(), 0u);
+  const uint64_t ceil_log2_n =
+      static_cast<uint64_t>(std::ceil(std::log2(static_cast<double>(n))));
+  EXPECT_LE(eng.stats().quiesces.load(), ceil_log2_n + 2);
+}
+
+TEST(EngineMessageCostTest, StepSynchronousRunQuiescesEveryEvent) {
+  const WsworConfig config{.num_sites = 3, .sample_size = 8, .seed = 31};
+  const uint64_t n = 2000;
+  EngineWswor es(config,
+                 EngineConfig{.num_sites = 3, .step_synchronous = true});
+  es.eng.Run(ZipfWorkload(3, n, /*seed=*/37));
+  EXPECT_EQ(es.eng.stats().quiesces.load(), n + 1);
+}
+
+// ---------------------------------------------------------------------
 // Stress and lifecycle.
 
 TEST(EngineStressTest, AdversarialHotSiteWithTinyQueuesCompletes) {

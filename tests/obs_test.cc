@@ -160,6 +160,8 @@ TEST(SchemaTest, EngineStatsSnapshotIsBitEqualAtQuiesce) {
   EXPECT_EQ(Uint(snap, "engine/flush_dispatches"),
             get(stats.flush_dispatches));
   EXPECT_EQ(Uint(snap, "engine/keys_decided"), get(stats.keys_decided));
+  EXPECT_EQ(Uint(snap, "engine/wasted_messages"), get(stats.wasted_messages));
+  EXPECT_EQ(get(stats.wasted_messages), coordinator->wasted_messages());
   EXPECT_EQ(get(stats.items_ingested), 30000u);
 
   // Registry collector path: identical entries, just collected through

@@ -1017,9 +1017,11 @@ TEST(LiveQueryEquivalenceTest, EngineStepSyncMatchesSimReference) {
 // Time-travel bit-identity: after a full engine run with a ring deep
 // enough to retain every publish, ReadAsOf at each step-boundary state
 // version must reproduce the simulator reference's snapshot for that
-// step bit for bit — the engine's per-message publication history
-// contains the reference's per-step history as a subsequence, and the
-// as-of read finds exactly the right element of it.
+// step bit for bit — the engine publishes once per coordinator drain
+// pass, and a step-synchronous step sends at most one message per shard,
+// so its publication history contains the reference's per-step history
+// as a subsequence, and the as-of read finds exactly the right element
+// of it.
 TEST(LiveQueryEquivalenceTest, RingAsOfMatchesSimReferenceAtStepBoundaries) {
   const int k = 4, shards = 2;
   const WsworConfig config{.num_sites = k, .sample_size = 8, .seed = 131};

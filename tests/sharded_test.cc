@@ -490,6 +490,81 @@ TEST(ShardedEngineTest, PerShardMessageCountsSumToAggregate) {
 }
 
 // ---------------------------------------------------------------------
+// Pipelined message cost: ShardedEngine::Run paces its quiesces by the
+// shards' summed waste (one countdown for the whole engine), which holds
+// a fresh engine's messages near sim::ShardedRuntime's.
+
+Workload PaperZipfWorkload(int k, uint64_t n, uint64_t seed) {
+  return WorkloadBuilder()
+      .num_sites(k)
+      .num_items(n)
+      .seed(seed)
+      .weights(std::make_unique<ZipfWeights>(uint64_t{1} << 20, 1.1))
+      .partitioner(std::make_unique<RandomPartitioner>())
+      .Build();
+}
+
+Workload HotSiteWorkload(int k, uint64_t n, uint64_t seed) {
+  return WorkloadBuilder()
+      .num_sites(k)
+      .num_items(n)
+      .seed(seed)
+      .weights(std::make_unique<SelfSimilarWeights>())
+      .partitioner(std::make_unique<AdversarialPartitioner>(
+          /*hop_every=*/4096))
+      .Build();
+}
+
+// Messages of a pipelined S = 2 Run on a fresh engine over ShardedWswor's.
+double ShardedMessageRatio(const WsworConfig& config, const Workload& w) {
+  const int shards = 2;
+  ShardedWswor sim_sampler(config, shards);
+  sim_sampler.Run(w);
+  ShardedEngineConfig engine_config;
+  engine_config.num_sites = config.num_sites;
+  engine_config.num_shards = shards;
+  ShardedEngine eng(engine_config);
+  const ShardedWsworEndpoints endpoints = AttachShardedWswor(config, eng);
+  eng.Run(w);
+  const double ratio =
+      static_cast<double>(eng.AggregateMessageSnapshot().total_messages()) /
+      static_cast<double>(sim_sampler.stats().total_messages());
+  eng.Shutdown();
+  return ratio;
+}
+
+TEST(ShardedMessageCostTest, PipelinedZipfRunStaysNearTheSimulator) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const WsworConfig config{.num_sites = 8, .sample_size = 32, .seed = seed};
+    EXPECT_LE(ShardedMessageRatio(config, PaperZipfWorkload(8, 200000, seed)),
+              1.20)
+        << " seed " << seed;
+  }
+}
+
+TEST(ShardedMessageCostTest, PipelinedHotSiteRunStaysNearTheSimulator) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const WsworConfig config{.num_sites = 8, .sample_size = 32, .seed = seed};
+    EXPECT_LE(ShardedMessageRatio(config, HotSiteWorkload(8, 200000, seed)),
+              1.5)
+        << " seed " << seed;
+  }
+}
+
+TEST(ShardedMessageCostTest, StepSynchronousRunWastesNothing) {
+  const WsworConfig config{.num_sites = 4, .sample_size = 8, .seed = 43};
+  ShardedEngineConfig engine_config;
+  engine_config.num_sites = 4;
+  engine_config.num_shards = 2;
+  engine_config.shard.step_synchronous = true;
+  ShardedEngine eng(engine_config);
+  const ShardedWsworEndpoints endpoints = AttachShardedWswor(config, eng);
+  eng.Run(ZipfWorkload(4, 5000, /*seed=*/47));
+  EXPECT_EQ(eng.WastedMessages(), 0u);
+  eng.Shutdown();
+}
+
+// ---------------------------------------------------------------------
 // Fault injection with per-shard sessions: a crash schedule confined to
 // one shard degrades only that shard's slice; the merged sample is an
 // exact SWOR over the surviving items and never contains a lost one.
