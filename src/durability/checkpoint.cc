@@ -9,8 +9,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
-#include "durability/wal.h"
 #include "sim/codec.h"
 
 namespace dwrs::durability {
@@ -128,14 +128,21 @@ bool WriteFileAtomic(const std::string& path,
     *error = "rename to " + path + ": " + std::strerror(errno);
     return false;
   }
-  // Make the rename itself durable.
+  // Make the rename itself durable: until the directory is synced, the
+  // new name may not survive a power loss.
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
+  if (dfd < 0) {
+    *error = "open " + dir + ": " + std::strerror(errno);
+    return false;
   }
+  if (::fsync(dfd) != 0) {
+    *error = "fsync " + dir + ": " + std::strerror(errno);
+    ::close(dfd);
+    return false;
+  }
+  ::close(dfd);
   return true;
 }
 
@@ -408,30 +415,112 @@ std::optional<ShardCheckpoint> DecodeCheckpoint(
   return c;
 }
 
-bool WriteCheckpointFile(const std::string& dir,
-                         const ShardCheckpoint& checkpoint,
+bool WriteCheckpointFile(const std::string& dir, uint64_t seq,
+                         const std::vector<uint8_t>& bytes,
                          std::string* error) {
-  const std::vector<uint8_t> bytes = EncodeCheckpoint(checkpoint);
-  if (!WriteFileAtomic(CheckpointPath(dir, checkpoint.checkpoint_seq), bytes,
-                       error)) {
-    return false;
+  if (!WriteFileAtomic(CheckpointPath(dir, seq), bytes, error)) return false;
+  // The fallback is the newest older checkpoint that exists — not always
+  // seq - 1: a kill while seq - 1 was being written leaves none of that
+  // number. It and every WAL segment from it on are retained (with no
+  // older checkpoint, every segment back to genesis). Older generations
+  // and the temp files of unfinished writes are superseded.
+  const std::vector<std::string> names = ListDir(dir);
+  std::optional<uint64_t> fallback;
+  for (const std::string& name : names) {
+    const std::optional<uint64_t> n = SeqOf(name, "ckpt-", ".bin");
+    if (n && *n < seq && (!fallback || *n > *fallback)) fallback = n;
   }
-  // Two generations retained: this one and its predecessor (the
-  // fallback). Everything older — checkpoints and their WAL segments —
-  // is superseded.
-  for (const std::string& name : ListDir(dir)) {
+  for (const std::string& name : names) {
     const std::optional<uint64_t> ckpt_seq = SeqOf(name, "ckpt-", ".bin");
     const std::optional<uint64_t> wal_seq = SeqOf(name, "wal-", ".log");
-    const bool stale_ckpt =
-        ckpt_seq && checkpoint.checkpoint_seq >= 1 &&
-        *ckpt_seq < checkpoint.checkpoint_seq - 1;
-    const bool stale_wal = wal_seq && checkpoint.checkpoint_seq >= 1 &&
-                           *wal_seq < checkpoint.checkpoint_seq - 1;
-    if (stale_ckpt || stale_wal) {
+    const std::optional<uint64_t> tmp_seq = SeqOf(name, "ckpt-", ".bin.tmp");
+    const bool stale_ckpt = ckpt_seq && fallback && *ckpt_seq < *fallback;
+    const bool stale_wal = wal_seq && fallback && *wal_seq < *fallback;
+    const bool stale_tmp = tmp_seq && *tmp_seq < seq;
+    if (stale_ckpt || stale_wal || stale_tmp) {
       ::unlink((dir + "/" + name).c_str());
     }
   }
   return true;
+}
+
+CheckpointWriter::CheckpointWriter(std::string dir) : dir_(std::move(dir)) {}
+
+CheckpointWriter::~CheckpointWriter() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+bool CheckpointWriter::Submit(uint64_t seq, std::vector<uint8_t> bytes,
+                              std::unique_ptr<WalWriter> retired,
+                              std::string* error) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [this] { return !busy_; });
+  if (!error_.empty()) {
+    *error = error_;
+    return false;
+  }
+  // Started before busy_ is set: a thread that fails to start leaves no
+  // job behind for Wait to wait on forever.
+  if (!thread_.joinable()) thread_ = std::thread(&CheckpointWriter::Loop, this);
+  // Replacing the finished job frees its buffers here, on the caller's
+  // thread, which allocated them: freed on the writer thread they would
+  // sit in that thread's malloc cache, and the heap would grow by them.
+  seq_ = seq;
+  bytes_ = std::move(bytes);
+  retired_ = std::move(retired);
+  busy_ = true;
+  cv_.notify_all();
+  return true;
+}
+
+bool CheckpointWriter::Wait(std::string* error) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, [this] { return !busy_; });
+  if (!error_.empty()) {
+    *error = error_;
+    return false;
+  }
+  return true;
+}
+
+bool CheckpointWriter::busy() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return busy_;
+}
+
+WalStats CheckpointWriter::retired_stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  WalStats total = closed_stats_;
+  if (busy_ && retired_) total += retired_->stats();
+  return total;
+}
+
+void CheckpointWriter::Loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    cv_.wait(lock, [this] { return busy_ || stop_; });
+    if (!busy_) return;
+    lock.unlock();
+    // The retired segment's fdatasync first, then the checkpoint's temp
+    // write, fsync, rename and directory fsync, then the prune.
+    std::string error;
+    bool ok = true;
+    if (retired_ && !retired_->Close()) {
+      ok = false;
+      error = "close " + retired_->path() + ": " + retired_->error();
+    }
+    if (ok) ok = WriteCheckpointFile(dir_, seq_, bytes_, &error);
+    lock.lock();
+    if (retired_) closed_stats_ += retired_->stats();
+    if (!ok && error_.empty()) error_ = error;
+    busy_ = false;
+    cv_.notify_all();
+  }
 }
 
 std::optional<ShardCheckpoint> LoadLatestCheckpoint(const std::string& dir) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "obs/trace.h"
 #include "query/capture.h"
@@ -39,14 +40,6 @@ bool DecisionEquals(const WalRecord& a, const WalRecord& b) {
   }
 }
 
-void FoldInto(WalStats* total, const WalStats& s) {
-  total->appends += s.appends;
-  total->commits += s.commits;
-  total->fsyncs += s.fsyncs;
-  total->bytes_appended += s.bytes_appended;
-  total->bytes_committed += s.bytes_committed;
-}
-
 }  // namespace
 
 // --- DurableCoordinator -----------------------------------------------
@@ -71,7 +64,7 @@ void DurableCoordinator::EmitDecision(const WalRecord& record) {
   if (capture_ != nullptr) {
     capture_->push_back(record);
   } else if (wal_ != nullptr) {
-    wal_->Append(EncodeWalRecord(record));
+    wal_->Append(record);
     ++records_logged_;
   }
 }
@@ -84,7 +77,7 @@ void DurableCoordinator::OnMessage(int site, const sim::Payload& msg) {
     record.type = WalRecordType::kMessage;
     record.site = site;
     record.msg = msg;
-    wal_->Append(EncodeWalRecord(record));
+    wal_->Append(record);
     ++records_logged_;
   }
   pending_deltas_.clear();
@@ -119,7 +112,8 @@ DurableWswor::DurableWswor(const WsworConfig& config,
       options_(options),
       backend_(backend),
       trace_shard_(trace_shard),
-      schedule_(fault_config) {
+      schedule_(fault_config),
+      checkpoint_writer_(options.dir) {
   DWRS_CHECK(!options_.dir.empty()) << " durability dir is required";
   DWRS_CHECK_GT(options_.commit_interval_steps, 0u);
   DWRS_CHECK_GT(options_.checkpoint_interval_steps, 0u);
@@ -145,6 +139,10 @@ void DurableWswor::BuildStack() {
 }
 
 void DurableWswor::TearDownStack(bool abandon_pending) {
+  // The in-flight checkpoint write finishes first, kill included: the
+  // recovery that follows an in-process kill then always sees it, so the
+  // kill tests stay deterministic.
+  AwaitCheckpoint();
   if (wal_) {
     if (abandon_pending) wal_->AbandonPending();
     CloseSegment();
@@ -168,12 +166,18 @@ void DurableWswor::OpenSegment(uint64_t seq) {
 
 void DurableWswor::CloseSegment() {
   wal_->Close();
-  FoldInto(&closed_segment_stats_, wal_->stats());
+  closed_segment_stats_ += wal_->stats();
   wal_.reset();
 }
 
+void DurableWswor::AwaitCheckpoint() {
+  std::string error;
+  DWRS_CHECK(checkpoint_writer_.Wait(&error))
+      << " checkpoint write failed: " << error;
+}
+
 void DurableWswor::AppendHarnessRecord(const WalRecord& record) {
-  wal_->Append(EncodeWalRecord(record));
+  wal_->Append(record);
   ++wal_records_logged_;
 }
 
@@ -231,8 +235,14 @@ void DurableWswor::RestoreFromCheckpoint(const ShardCheckpoint& c) {
 }
 
 void DurableWswor::WriteCheckpoint(uint64_t step) {
+  // What is checkpointed is fixed here, on the step thread: the capture,
+  // its encoding, the mark that closes the current segment and the
+  // rotation to a fresh one. The I/O that makes it durable runs on the
+  // writer thread while the stack keeps stepping.
   ShardCheckpoint checkpoint = CaptureCheckpoint(step);
   checkpoint.checkpoint_seq = checkpoint_seq_ + 1;
+  std::vector<uint8_t> bytes = EncodeCheckpoint(checkpoint);
+  std::unique_ptr<WalWriter> retired;
   if (wal_) {
     // Close out the current segment: the checkpoint mark is its final
     // committed record, so a later reader can audit the rotation.
@@ -241,13 +251,15 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
     mark.step = checkpoint.checkpoint_seq;
     AppendHarnessRecord(mark);
     DWRS_CHECK(wal_->Commit()) << " wal commit failed: " << wal_->error();
-    CloseSegment();
+    retired = std::move(wal_);
   }
-  std::string error;
-  DWRS_CHECK(WriteCheckpointFile(options_.dir, checkpoint, &error))
-      << " checkpoint write failed: " << error;
   checkpoint_seq_ = checkpoint.checkpoint_seq;
   ++checkpoints_written_;
+  OpenSegment(checkpoint_seq_);
+  std::string error;
+  DWRS_CHECK(checkpoint_writer_.Submit(checkpoint_seq_, std::move(bytes),
+                                       std::move(retired), &error))
+      << " checkpoint write failed: " << error;
   if (obs::TracingEnabled()) {
     obs::TraceEvent event;
     event.type = obs::EventType::kCheckpointWrite;
@@ -256,7 +268,6 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
     event.shard = static_cast<int16_t>(trace_shard_);
     obs::Emit(event);
   }
-  OpenSegment(checkpoint_seq_);
 }
 
 bool DurableWswor::Recover() {
@@ -283,9 +294,10 @@ bool DurableWswor::Recover() {
   }
 
   // The WAL tail: the loaded generation's segment, plus any later
-  // segments (present when the newest checkpoint was torn and the load
-  // fell back a generation — the later segments' records continue the
-  // arrival stream seamlessly, because rotation happens at capture).
+  // segments (present when the newest checkpoint was torn, or never
+  // written because a kill hit its write window, and the load fell back
+  // a generation — the later segments' records continue the arrival
+  // stream seamlessly, because rotation happens at capture).
   std::vector<WalRecord> records;
   uint64_t last_seq = scan_seq;
   bool stop_scan = false;
@@ -454,6 +466,12 @@ void DurableWswor::Run(const Workload& workload,
       AppendHarnessRecord(mark);
       if (step % options_.commit_interval_steps == 0) {
         DWRS_CHECK(wal_->Commit()) << " wal commit failed: " << wal_->error();
+        // With a checkpoint write in flight, offer the CPU: a writer
+        // thread sharing it needs it after each of its syncs, and a
+        // busy step thread would otherwise hold it until the scheduler
+        // preempts it, stretching the write the next checkpoint waits
+        // for.
+        if (checkpoint_writer_.busy()) std::this_thread::yield();
       }
       if (step % options_.checkpoint_interval_steps == 0) {
         WriteCheckpoint(step);
@@ -478,8 +496,10 @@ void DurableWswor::Run(const Workload& workload,
          " stream must cover every durably logged step)";
   stack_->Reconcile();
   // Final checkpoint (post-reconcile): commits the reconcile-round
-  // records and leaves the directory resumable at end of stream.
+  // records and leaves the directory resumable at end of stream. Run
+  // returns only once it is durable.
   WriteCheckpoint(feed_step_);
+  AwaitCheckpoint();
 }
 
 faults::RunReport DurableWswor::report() const {
@@ -509,7 +529,8 @@ ProbeState DurableWswor::Probe() const {
 
 WalStats DurableWswor::wal_stats() const {
   WalStats total = closed_segment_stats_;
-  if (wal_) FoldInto(&total, wal_->stats());
+  total += checkpoint_writer_.retired_stats();
+  if (wal_) total += wal_->stats();
   return total;
 }
 

@@ -16,15 +16,29 @@
 //                 step boundaries, every commit_interval_steps; the
 //                 durable step is the last committed kStepMark.
 //   ckpt-<c>.bin  full stack state at a quiesce point (checkpoint.h),
-//                 written atomically every checkpoint_interval_steps;
-//                 writing checkpoint c rotates logging to wal-<c>.log
-//                 and prunes generations older than c - 1.
+//                 every checkpoint_interval_steps. The step thread fixes
+//                 what checkpoint c holds: it captures and encodes the
+//                 state, closes the current segment with a committed
+//                 kCheckpointMark and rotates logging to wal-<c>.log.
+//                 The shard's checkpoint writer thread then makes it
+//                 durable while the stack keeps stepping: it closes
+//                 (fdatasyncs) the retired segment, writes ckpt-<c>.bin
+//                 atomically and prunes by checkpoint.h's retention rule.
+//
+// The writer thread starts at the first checkpoint and holds at most one
+// write. The next checkpoint, an in-process kill and the destructor all
+// wait for the write in flight, and Run returns only once its final
+// checkpoint is durable. A failed write is fatal at the first of those
+// points ("checkpoint write failed"). While a write is in flight, Run
+// yields the CPU at each group commit, so a writer sharing the step
+// thread's CPU runs as soon as each of its syncs completes.
 //
 // Recovery (Recover(), run by the constructor when the directory holds
 // state):
 //
-//   1. Load the newest decodable checkpoint c (a torn newest file falls
-//      back to c - 1); restore sites, site sessions and the fault
+//   1. Load the newest decodable checkpoint c (a torn newest file, or a
+//      missing one after a kill inside the write window, falls back to
+//      the newest older one); restore sites, site sessions and the fault
 //      transport at its step B, the coordinator + session at its state.
 //   2. Replay the WAL tail (wal-<c>.log, plus any later segments when
 //      an older generation was loaded): every kMessage record re-enters
@@ -225,12 +239,17 @@ class DurableWswor {
 
  private:
   void BuildStack();
+  // Waits for the in-flight checkpoint write first (kill included).
   void TearDownStack(bool abandon_pending);
   // Loads the newest checkpoint + replays the WAL tail; true iff any
   // durable state was found. Leaves the stack live-wired and logging to
   // a fresh segment either way.
   bool Recover();
+  // Captures checkpoint checkpoint_seq_ + 1 at `step`, rotates the WAL
+  // and hands the write to checkpoint_writer_.
   void WriteCheckpoint(uint64_t step);
+  // Blocks until no checkpoint write is in flight; a failed one is fatal.
+  void AwaitCheckpoint();
   void OpenSegment(uint64_t seq);
   void CloseSegment();
   void AppendHarnessRecord(const WalRecord& record);
@@ -261,7 +280,10 @@ class DurableWswor {
   uint64_t recoveries_ = 0;
   bool recovery_consistent_ = true;
   RecoveryReport last_recovery_;
-  WalStats closed_segment_stats_;  // folded stats of closed segments
+  // Folded stats of the segments closed on this thread (teardowns); the
+  // writer keeps those it closed.
+  WalStats closed_segment_stats_;
+  CheckpointWriter checkpoint_writer_;
 
   // Catch-up window after a recovery whose WAL tail reached past the
   // checkpoint (durable step D > checkpoint step B): the feeder re-runs

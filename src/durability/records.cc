@@ -16,32 +16,36 @@ const char* WalRecordTypeName(WalRecordType type) {
   return "unknown";
 }
 
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
-  std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(record.type));
+void AppendWalRecord(std::vector<uint8_t>* out, const WalRecord& record) {
+  out->push_back(static_cast<uint8_t>(record.type));
   switch (record.type) {
     case WalRecordType::kMessage:
-      sim::PutVarint(&out, static_cast<uint64_t>(record.site));
-      sim::PutSizedPayload(&out, record.msg);
+      sim::PutVarint(out, static_cast<uint64_t>(record.site));
+      sim::PutSizedPayload(out, record.msg);
       break;
     case WalRecordType::kThresholdBump:
-      sim::PutF64(&out, record.threshold);
+      sim::PutF64(out, record.threshold);
       break;
     case WalRecordType::kEpochChange:
-      sim::PutZigzag(&out, record.epoch);
+      sim::PutZigzag(out, record.epoch);
       break;
     case WalRecordType::kSampleDelta:
-      sim::PutVarint(&out, record.added.item.id);
-      sim::PutF64(&out, record.added.item.weight);
-      sim::PutF64(&out, record.added.key);
-      out.push_back(record.evicted_valid ? 1 : 0);
-      if (record.evicted_valid) sim::PutVarint(&out, record.evicted_id);
+      sim::PutVarint(out, record.added.item.id);
+      sim::PutF64(out, record.added.item.weight);
+      sim::PutF64(out, record.added.key);
+      out->push_back(record.evicted_valid ? 1 : 0);
+      if (record.evicted_valid) sim::PutVarint(out, record.evicted_id);
       break;
     case WalRecordType::kStepMark:
     case WalRecordType::kCheckpointMark:
-      sim::PutVarint(&out, record.step);
+      sim::PutVarint(out, record.step);
       break;
   }
+}
+
+std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
+  std::vector<uint8_t> out;
+  AppendWalRecord(&out, record);
   return out;
 }
 

@@ -75,6 +75,11 @@ struct WalRecord {
   uint64_t step = 0;
 };
 
+// Appends the encoding of `record` to *out. The WAL writer frames
+// records with it straight into its pending buffer (wal.h).
+void AppendWalRecord(std::vector<uint8_t>* out, const WalRecord& record);
+
+// The encoding as a fresh vector (AppendWalRecord into an empty one).
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
 
 // nullopt on any malformed input (unknown type, truncation, trailing

@@ -36,6 +36,10 @@ std::string ErrnoText(const char* what) {
   return std::string(what) + " failed: " + std::strerror(errno);
 }
 
+void StoreU32Le(uint8_t* at, uint32_t x) {
+  for (int i = 0; i < 4; ++i) at[i] = static_cast<uint8_t>(x >> (8 * i));
+}
+
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed) {
@@ -87,15 +91,20 @@ WalWriter::WalWriter(const std::string& path, const WalWriterOptions& options)
 
 WalWriter::~WalWriter() { Close(); }
 
-size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
-  DWRS_CHECK_LE(payload.size(), static_cast<size_t>(kMaxFrameBytes));
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  const size_t framed = payload.size() + kWalFrameOverhead;
+template <typename Encode>
+size_t WalWriter::AppendFrame(const Encode& encode) {
+  size_t framed = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    sim::PutU32Le(&pending_, static_cast<uint32_t>(payload.size()));
-    sim::PutU32Le(&pending_, crc);
-    pending_.insert(pending_.end(), payload.begin(), payload.end());
+    const size_t start = pending_.size();
+    pending_.resize(start + kWalFrameOverhead);
+    encode(&pending_);
+    framed = pending_.size() - start;
+    const size_t len = framed - kWalFrameOverhead;
+    DWRS_CHECK_LE(len, static_cast<size_t>(kMaxFrameBytes));
+    uint8_t* frame = pending_.data() + start;
+    StoreU32Le(frame, static_cast<uint32_t>(len));
+    StoreU32Le(frame + 4, Crc32(frame + kWalFrameOverhead, len));
     ++stats_.appends;
     stats_.bytes_appended += framed;
   }
@@ -106,6 +115,17 @@ size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
     obs::Emit(event);
   }
   return framed;
+}
+
+size_t WalWriter::Append(const WalRecord& record) {
+  return AppendFrame(
+      [&record](std::vector<uint8_t>* out) { AppendWalRecord(out, record); });
+}
+
+size_t WalWriter::Append(const std::vector<uint8_t>& payload) {
+  return AppendFrame([&payload](std::vector<uint8_t>* out) {
+    out->insert(out->end(), payload.begin(), payload.end());
+  });
 }
 
 bool WalWriter::SyncLocked() {

@@ -11,7 +11,11 @@
 //           | payload bytes
 //
 // The payload of every frame is an encoded durability::WalRecord
-// (records.h), but the framing layer is content-agnostic. A reader
+// (records.h). Append(record) encodes the record straight into the
+// pending buffer behind a reserved frame header and fills in its length
+// and CRC in place, so the hot path allocates nothing per record; the
+// bytes equal a frame of EncodeWalRecord(record). The framing itself is
+// content-agnostic (Append(payload) frames raw bytes). A reader
 // accepts the longest valid prefix: it stops at the first frame whose
 // length runs past EOF or whose CRC mismatches — a torn tail from a
 // mid-write kill — and reports how many valid bytes precede it. It
@@ -24,7 +28,9 @@
 // write()s the buffer to the kernel and optionally fdatasync()s. Group
 // commit batches many appends per commit, trading a bounded loss window
 // (the records since the last commit) for ingest throughput — the knobs
-// and the tradeoff table live in README.md.
+// and the tradeoff table live in README.md. A segment retired by a
+// checkpoint gets its final Commit() on the step thread and its Close()
+// (the fdatasync) on the checkpoint writer's thread (checkpoint.h).
 
 #ifndef DWRS_DURABILITY_WAL_H_
 #define DWRS_DURABILITY_WAL_H_
@@ -35,6 +41,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "durability/records.h"
 
 namespace dwrs::durability {
 
@@ -67,11 +75,21 @@ struct WalStats {
   uint64_t fsyncs = 0;
   uint64_t bytes_appended = 0;   // framed bytes enqueued
   uint64_t bytes_committed = 0;  // framed bytes handed to the kernel
+
+  WalStats& operator+=(const WalStats& s) {
+    appends += s.appends;
+    commits += s.commits;
+    fsyncs += s.fsyncs;
+    bytes_appended += s.bytes_appended;
+    bytes_committed += s.bytes_committed;
+    return *this;
+  }
 };
 
 // Append handle for one WAL segment file. Append() is the hot-path
-// entry. The mutex lets appends (from the coordinator's thread) and
-// commits (from the feeder's) come from different threads.
+// entry. The mutex lets appends (from the coordinator's thread), commits
+// (from the feeder's) and the final Close() (from the checkpoint
+// writer's) come from different threads.
 class WalWriter {
  public:
   // Creates (truncating) `path` and writes the header. ok() is false
@@ -86,7 +104,10 @@ class WalWriter {
   const std::string& error() const { return error_; }
   const std::string& path() const { return path_; }
 
-  // Frames `payload` into the pending buffer. Returns the framed size.
+  // Frames `record`, encoded in place, into the pending buffer. Returns
+  // the framed size.
+  size_t Append(const WalRecord& record);
+  // Frames raw `payload` bytes the same way.
   size_t Append(const std::vector<uint8_t>& payload);
 
   // Writes every pending frame to the kernel (+fdatasync when
@@ -107,6 +128,10 @@ class WalWriter {
   WalStats stats() const;
 
  private:
+  // Reserves a frame header, lets `encode` append the payload behind
+  // it, then writes the length and the CRC into the header.
+  template <typename Encode>
+  size_t AppendFrame(const Encode& encode);
   bool CommitLocked();
   bool SyncLocked();
 

@@ -9,17 +9,20 @@
 // recovery or a flagged one, never an unflagged wrong sample.
 //
 // Run under -fsanitize=thread in CI (the engine-backed runs exercise the
-// WAL append path from the coordinator worker thread).
+// WAL append path from the coordinator worker thread, and every durable
+// run hands its checkpoints to the checkpoint writer thread).
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -82,6 +85,39 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+bool Exists(const std::string& path) {
+  return std::filesystem::exists(path);
+}
+
+// Names of the checkpoint temp files (ckpt-<n>.bin.tmp) in `dir`.
+std::vector<std::string> TempFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".tmp") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  return names;
+}
+
+// Copies the files of `from` into a fresh directory `to`. The checkpoint
+// writer may be renaming or pruning files of `from` meanwhile; a file
+// that is gone by the time it is opened is skipped.
+void CopyDir(const std::string& from, const std::string& to) {
+  RemoveAll(to);
+  std::filesystem::create_directory(to);
+  for (const auto& entry : std::filesystem::directory_iterator(from)) {
+    std::error_code ignored;
+    std::filesystem::copy_file(entry.path(),
+                               to + "/" + entry.path().filename().string(),
+                               ignored);
+  }
+}
+
+bool DecodableCheckpoint(const std::string& path) {
+  return DecodeCheckpoint(ReadAll(path)).has_value();
 }
 
 // ---------------------------------------------------------------------
@@ -203,7 +239,8 @@ TEST(WalTest, TruncatesAtFirstBadFrameAndNeverResynchronizes) {
 // ---------------------------------------------------------------------
 // Record codec.
 
-TEST(WalRecordTest, RoundtripsEveryRecordType) {
+// One record of every type (both kSampleDelta shapes).
+std::vector<WalRecord> EveryRecordType() {
   std::vector<WalRecord> records;
   WalRecord m;
   m.type = WalRecordType::kMessage;
@@ -241,8 +278,11 @@ TEST(WalRecordTest, RoundtripsEveryRecordType) {
   c.type = WalRecordType::kCheckpointMark;
   c.step = 3;
   records.push_back(c);
+  return records;
+}
 
-  for (const WalRecord& record : records) {
+TEST(WalRecordTest, RoundtripsEveryRecordType) {
+  for (const WalRecord& record : EveryRecordType()) {
     const std::vector<uint8_t> bytes = EncodeWalRecord(record);
     const auto back = DecodeWalRecord(bytes);
     ASSERT_TRUE(back.has_value())
@@ -272,6 +312,45 @@ TEST(WalRecordTest, RoundtripsEveryRecordType) {
     }
   }
   EXPECT_FALSE(DecodeWalRecord({0x77}).has_value());  // unknown type
+}
+
+// The writer encodes each record in place behind its frame header; the
+// bytes must equal a frame of EncodeWalRecord's output, so the on-disk
+// format (and codec_test's golden vectors) cannot drift from the codec.
+TEST(WalRecordTest, InPlaceFramesEqualEncodedRecords) {
+  const std::string dir = TempDir("wal_in_place");
+  ASSERT_TRUE(durability::EnsureDir(dir));
+  const std::string path = dir + "/wal-0.log";
+  const std::vector<WalRecord> records = EveryRecordType();
+  std::vector<uint8_t> expected(durability::kWalMagic,
+                                durability::kWalMagic + 4);
+  expected.push_back(durability::kWalFormatVersion);
+  const size_t header = expected.size();
+  {
+    WalWriter writer(path, WalWriterOptions{});
+    ASSERT_TRUE(writer.ok()) << writer.error();
+    for (const WalRecord& record : records) {
+      const std::vector<uint8_t> payload = EncodeWalRecord(record);
+      const size_t start = expected.size();
+      sim::PutU32Le(&expected, static_cast<uint32_t>(payload.size()));
+      sim::PutU32Le(&expected, Crc32(payload.data(), payload.size()));
+      expected.insert(expected.end(), payload.begin(), payload.end());
+      EXPECT_EQ(writer.Append(record), expected.size() - start)
+          << durability::WalRecordTypeName(record.type);
+    }
+    ASSERT_TRUE(writer.Close());
+    EXPECT_EQ(writer.stats().appends, records.size());
+    EXPECT_EQ(writer.stats().bytes_appended, expected.size() - header);
+  }
+  EXPECT_EQ(ReadAll(path), expected);
+  const WalReadResult r = ReadWalFile(path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.truncated_tail);
+  ASSERT_EQ(r.payloads.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(r.payloads[i], EncodeWalRecord(records[i])) << i;
+  }
+  RemoveAll(dir);
 }
 
 // A kMessage record from site `site`, encoded by hand so the site varint
@@ -406,8 +485,12 @@ TEST(CheckpointTest, LoadFallsBackWhenNewestGenerationIsCorrupt) {
   newer.checkpoint_seq = 7;
   newer.step = 400;
   std::string error;
-  ASSERT_TRUE(durability::WriteCheckpointFile(dir, older, &error)) << error;
-  ASSERT_TRUE(durability::WriteCheckpointFile(dir, newer, &error)) << error;
+  ASSERT_TRUE(durability::WriteCheckpointFile(dir, older.checkpoint_seq,
+                                              EncodeCheckpoint(older), &error))
+      << error;
+  ASSERT_TRUE(durability::WriteCheckpointFile(dir, newer.checkpoint_seq,
+                                              EncodeCheckpoint(newer), &error))
+      << error;
   auto loaded = LoadLatestCheckpoint(dir);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->checkpoint_seq, 7u);
@@ -421,6 +504,48 @@ TEST(CheckpointTest, LoadFallsBackWhenNewestGenerationIsCorrupt) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->checkpoint_seq, 6u);
   EXPECT_EQ(loaded->step, 321u);
+  RemoveAll(dir);
+}
+
+// Retention keeps the newest OLDER checkpoint that exists, which is not
+// always seq - 1: a kill while checkpoint 7 was being written leaves
+// wal-7.log without ckpt-7.bin, and the recovery checkpoint 8 must keep
+// ckpt-6.bin and every segment from wal-6.log on. Temp files of
+// unfinished writes go. With no older checkpoint at all, every segment
+// back to genesis stays.
+TEST(CheckpointTest, RetentionKeepsTheNewestOlderCheckpointThatExists) {
+  const std::string dir = TempDir("ckpt_retention");
+  ASSERT_TRUE(durability::EnsureDir(dir));
+  const std::vector<uint8_t> bytes = EncodeCheckpoint(SampleCheckpoint());
+  const auto write = [&](uint64_t seq) {
+    std::string error;
+    ASSERT_TRUE(durability::WriteCheckpointFile(dir, seq, bytes, &error))
+        << error;
+  };
+  for (uint64_t seq = 0; seq <= 8; ++seq) {
+    WriteAll(durability::WalSegmentPath(dir, seq), {});
+  }
+  write(1);  // genesis: no older checkpoint, so nothing is pruned
+  EXPECT_TRUE(Exists(durability::WalSegmentPath(dir, 0)));
+  write(5);
+  write(6);
+  WriteAll(durability::CheckpointPath(dir, 7) + ".tmp", {1, 2, 3});
+  write(8);  // checkpoint 7 never finished
+  for (uint64_t seq : {0, 1, 5}) {
+    EXPECT_FALSE(Exists(durability::CheckpointPath(dir, seq))) << seq;
+    EXPECT_FALSE(Exists(durability::WalSegmentPath(dir, seq))) << seq;
+  }
+  EXPECT_TRUE(Exists(durability::CheckpointPath(dir, 6)));
+  for (uint64_t seq : {6, 7, 8}) {
+    EXPECT_TRUE(Exists(durability::WalSegmentPath(dir, seq))) << seq;
+  }
+  EXPECT_TRUE(TempFiles(dir).empty());
+  write(9);  // back to the two-generation steady state
+  EXPECT_FALSE(Exists(durability::CheckpointPath(dir, 6)));
+  EXPECT_FALSE(Exists(durability::WalSegmentPath(dir, 6)));
+  EXPECT_FALSE(Exists(durability::WalSegmentPath(dir, 7)));
+  EXPECT_TRUE(Exists(durability::CheckpointPath(dir, 8)));
+  EXPECT_TRUE(Exists(durability::WalSegmentPath(dir, 8)));
   RemoveAll(dir);
 }
 
@@ -657,6 +782,167 @@ TEST(DurableShardTest, KillsUnderMessageFaultsAgreeAcrossBackends) {
     EXPECT_TRUE(reports[0].recovery_consistent) << "seed " << fault_seed;
     EXPECT_TRUE(reports[1].recovery_consistent) << "seed " << fault_seed;
   }
+}
+
+// wal_stats() counts the segment the writer thread is closing, so it
+// never runs backwards across a checkpoint hand-off (perfbench reads it
+// right after one), and every checkpoint's retired segment is synced
+// exactly once.
+TEST(DurableShardTest, WalStatsCountTheSegmentInFlight) {
+  const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 21};
+  const Workload w = DurabilityWorkload(3, 200, /*seed=*/5);
+  FaultConfig none;
+  none.seed = 3;
+  const std::string dir = TempDir("wal_stats");
+  {
+    DurableWswor durable(config, none, Backend::kSim, Opts(dir));
+    durability::WalStats last;
+    durable.Run(w, [&](uint64_t step) {
+      const durability::WalStats now = durable.wal_stats();
+      EXPECT_GT(now.appends, last.appends) << step;  // a step mark each
+      EXPECT_GE(now.commits, last.commits) << step;
+      EXPECT_GE(now.bytes_appended, last.bytes_appended) << step;
+      EXPECT_GE(now.bytes_committed, last.bytes_committed) << step;
+      if (step % Opts(dir).checkpoint_interval_steps == 0) {
+        EXPECT_EQ(now.bytes_committed, now.bytes_appended) << step;
+      }
+      last = now;
+    });
+    EXPECT_EQ(durable.wal_stats().fsyncs,
+              durable.report().checkpoints_written);
+  }
+  RemoveAll(dir);
+}
+
+// Thrown from an on_step hook to stop a Run at a chosen step.
+struct StopRun {};
+
+// A SIGKILL while the writer thread persists checkpoint c leaves
+// wal-<c>.log holding records, no ckpt-<c>.bin, and perhaps a torn
+// ckpt-<c>.bin.tmp. Build that state from a copy of a live directory
+// taken a few commits past c's step, then resume from it: the finished
+// run matches an uninterrupted one bit for bit, and the recovery
+// checkpoint keeps the generation it recovered from.
+TEST(DurableShardTest, KillInsideCheckpointWriteWindowRecovers) {
+  const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 63};
+  const Workload w = DurabilityWorkload(3, 240, /*seed=*/19);
+  FaultConfig none;
+  none.seed = 8;
+  faults::FaultyWswor reference(config, none, Backend::kSim);
+  reference.Run(w);
+  // Opts(): a commit every 4 steps, a checkpoint every 32. Checkpoint 3
+  // is captured at step 96; the copy is taken three commits later.
+  constexpr uint64_t kSeq = 3;
+  constexpr uint64_t kCopyStep = 96 + 3 * 4;
+  const std::string live_dir = TempDir("window_live");
+  const std::string copy = TempDir("window_copy");
+  {
+    DurableWswor live(config, none, Backend::kSim, Opts(live_dir));
+    live.Run(w, [&](uint64_t step) {
+      if (step == kCopyStep) CopyDir(live_dir, copy);
+    });
+  }
+  RemoveAll(live_dir);
+  // Handing over checkpoint 3 waited for checkpoint 2's write, and the
+  // step thread committed both segments before the copy.
+  ASSERT_TRUE(DecodableCheckpoint(durability::CheckpointPath(copy, kSeq - 1)));
+  ASSERT_TRUE(ReadWalFile(durability::WalSegmentPath(copy, kSeq - 1)).ok);
+  ASSERT_TRUE(ReadWalFile(durability::WalSegmentPath(copy, kSeq)).ok);
+
+  const auto expect_reference = [&](const DurableWswor& run) {
+    EXPECT_EQ(run.SampleIds(), reference.SampleIds());
+    EXPECT_EQ(run.report().transcript_hash, reference.report().transcript_hash);
+    EXPECT_EQ(run.report().delivered, reference.report().delivered);
+    EXPECT_TRUE(run.report().recovery_consistent);
+  };
+  for (const bool torn_tmp : {false, true}) {
+    SCOPED_TRACE(torn_tmp ? "torn temp file" : "no temp file");
+    const std::string dir = TempDir(torn_tmp ? "window_tmp" : "window_plain");
+    // Whatever the copy caught of checkpoint 3 goes; a torn temp file
+    // may take its place.
+    const auto kill_in_window = [&] {
+      CopyDir(copy, dir);
+      std::remove(durability::CheckpointPath(dir, kSeq).c_str());
+      for (const std::string& name : TempFiles(dir)) {
+        std::remove((dir + "/" + name).c_str());
+      }
+      if (torn_tmp) {
+        std::vector<uint8_t> torn =
+            ReadAll(durability::CheckpointPath(dir, kSeq - 1));
+        torn.resize(torn.size() / 2);
+        WriteAll(durability::CheckpointPath(dir, kSeq) + ".tmp", torn);
+      }
+    };
+
+    kill_in_window();
+    {
+      DurableWswor resumed(config, none, Backend::kSim, Opts(dir));
+      EXPECT_EQ(resumed.last_recovery().checkpoint_seq, kSeq - 1);
+      EXPECT_EQ(resumed.last_recovery().durable_step, kCopyStep);
+      resumed.Run(w);
+      expect_reference(resumed);
+    }
+
+    // Again, stopped right after the recovery checkpoint, which the
+    // re-feed writes on reaching the durable step; the destructor waits
+    // for its write.
+    kill_in_window();
+    {
+      DurableWswor resumed(config, none, Backend::kSim, Opts(dir));
+      const auto stop_at_durable_step = [](uint64_t step) {
+        if (step == kCopyStep) throw StopRun{};
+      };
+      EXPECT_THROW(resumed.Run(w, stop_at_durable_step), StopRun);
+    }
+    const uint64_t recovery_seq = kSeq + 1;
+    EXPECT_TRUE(DecodableCheckpoint(durability::CheckpointPath(dir, kSeq - 1)))
+        << "the fallback generation was pruned";
+    EXPECT_TRUE(
+        DecodableCheckpoint(durability::CheckpointPath(dir, recovery_seq)));
+    for (uint64_t seq = kSeq - 1; seq <= recovery_seq; ++seq) {
+      EXPECT_TRUE(ReadWalFile(durability::WalSegmentPath(dir, seq)).ok) << seq;
+    }
+    EXPECT_FALSE(Exists(durability::CheckpointPath(dir, kSeq - 2)));
+    EXPECT_FALSE(Exists(durability::WalSegmentPath(dir, kSeq - 2)));
+    EXPECT_TRUE(TempFiles(dir).empty());
+    {
+      DurableWswor resumed(config, none, Backend::kSim, Opts(dir));
+      resumed.Run(w);
+      expect_reference(resumed);
+    }
+    RemoveAll(dir);
+  }
+  RemoveAll(copy);
+}
+
+// A failed background write is fatal, never swallowed. A directory in
+// the way of checkpoint 1's temp file makes the writer's open fail
+// (EISDIR); the next hand-off raises it, or, when the stream ends first,
+// the end of Run.
+TEST(DurableShardDeathTest, FailedCheckpointWriteIsFatal) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 21};
+  FaultConfig none;
+  none.seed = 2;
+  const std::string dir = TempDir("write_failure");
+  const std::string blocker = durability::CheckpointPath(dir, 1) + ".tmp";
+  const std::string expected =
+      "checkpoint write failed: open .*ckpt-1\\.bin\\.tmp: Is a directory";
+  // Opts() checkpoints every 32 steps: 100 steps hand over checkpoint 2
+  // after checkpoint 1 failed; 20 steps write only the final one.
+  for (const uint64_t steps : {100, 20}) {
+    SCOPED_TRACE(steps);
+    RemoveAll(dir);
+    ASSERT_TRUE(durability::EnsureDir(dir));
+    ASSERT_TRUE(durability::EnsureDir(blocker));
+    const Workload w = DurabilityWorkload(3, steps, /*seed=*/5);
+    const auto run = [&] {
+      DurableWswor durable(config, none, Backend::kSim, Opts(dir));
+      durable.Run(w);
+    };
+    EXPECT_DEATH(run(), expected);
+  }
+  RemoveAll(dir);
 }
 
 // ---------------------------------------------------------------------
