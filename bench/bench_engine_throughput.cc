@@ -76,6 +76,7 @@
 #include "engine/sharded_engine.h"
 #include "query/live.h"
 #include "query/query_service.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 namespace {
@@ -124,15 +125,15 @@ BackendResult RunEngine(const Workload& w, const engine::EngineConfig& econfig,
   const int k = econfig.num_sites;
   const WsworConfig config{.num_sites = k, .sample_size = s, .seed = seed};
   engine::Engine eng(econfig);
-  Rng master(config.seed);
-  std::vector<std::unique_ptr<WsworSite>> sites;
-  for (int i = 0; i < k; ++i) {
-    sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
-  eng.AttachCoordinator(&coordinator);
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<WsworSite>(config, i, transport, site_seed);
+      },
+      [&](sim::Transport* transport, uint64_t coordinator_seed) {
+        return std::make_unique<WsworCoordinator>(config, transport,
+                                                  coordinator_seed);
+      });
   const double t0 = Now();
   eng.Run(w);
   const double t1 = Now();
@@ -197,20 +198,18 @@ BackendResult RunShardedWswor(const Workload& w, int k, int shards, int s,
 // judged against); shards >= 1 runs engine::ShardedEngine.
 BackendResult RunNaiveMessageHeavy(const Workload& w, int k, int shards,
                                    int s, uint64_t seed, size_t batch_size) {
-  Rng master(seed);
-  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
-  std::vector<std::unique_ptr<NaiveWsworCoordinator>> coordinators;
   BackendResult result;
   if (shards == 0) {
     engine::Engine eng(
         engine::EngineConfig{.num_sites = k, .batch_size = batch_size});
-    for (int i = 0; i < k; ++i) {
-      sites.push_back(std::make_unique<NaiveWsworSite>(
-          s, i, &eng.transport(), master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    coordinators.push_back(std::make_unique<NaiveWsworCoordinator>(s));
-    eng.AttachCoordinator(coordinators.back().get());
+    const auto endpoints = sim::Deploy(
+        eng, seed,
+        [s](int i, sim::Transport* transport, uint64_t site_seed) {
+          return std::make_unique<NaiveWsworSite>(s, i, transport, site_seed);
+        },
+        [s](sim::Transport*, uint64_t) {
+          return std::make_unique<NaiveWsworCoordinator>(s);
+        });
     const double t0 = Now();
     eng.Run(w);
     const double t1 = Now();
@@ -226,17 +225,14 @@ BackendResult RunNaiveMessageHeavy(const Workload& w, int k, int shards,
   engine_config.num_shards = shards;
   engine_config.shard.batch_size = batch_size;
   engine::ShardedEngine eng(engine_config);
-  const ShardTopology& topo = eng.topology();
-  for (int i = 0; i < k; ++i) {
-    const int shard = topo.ShardOf(i);
-    sites.push_back(std::make_unique<NaiveWsworSite>(
-        s, topo.LocalOf(i), &eng.shard_transport(shard), master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  for (int shard = 0; shard < shards; ++shard) {
-    coordinators.push_back(std::make_unique<NaiveWsworCoordinator>(s));
-    eng.AttachShardCoordinator(shard, coordinators.back().get());
-  }
+  const auto endpoints = sim::DeploySharded(
+      eng, seed,
+      [s](int, int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<NaiveWsworSite>(s, i, transport, site_seed);
+      },
+      [s](int, sim::Transport*, uint64_t) {
+        return std::make_unique<NaiveWsworCoordinator>(s);
+      });
   const double t0 = Now();
   eng.Run(w);
   const double t1 = Now();

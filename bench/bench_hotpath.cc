@@ -29,6 +29,7 @@
 #include "bench_util.h"
 #include "engine/engine.h"
 #include "random/lazy_exponential.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 namespace {
@@ -362,16 +363,17 @@ int Main(bool quick) {
   // End-to-end single-site engine ingestion: span Push, pooled batch
   // buffers, real coordinator thread.
   {
-    std::vector<std::unique_ptr<WsworSite>> sites;
     engine::Engine eng(engine::EngineConfig{
         .num_sites = 1, .batch_size = kSpan});
-    Rng master(wswor_config.seed);
-    sites.push_back(std::make_unique<WsworSite>(
-        wswor_config, 0, &eng.transport(), master.NextU64()));
-    eng.AttachSite(0, sites.back().get());
-    WsworCoordinator coordinator(wswor_config, &eng.transport(),
-                                 master.NextU64());
-    eng.AttachCoordinator(&coordinator);
+    const auto endpoints = sim::Deploy(
+        eng, wswor_config.seed,
+        [&](int i, sim::Transport* transport, uint64_t seed) {
+          return std::make_unique<WsworSite>(wswor_config, i, transport, seed);
+        },
+        [&](sim::Transport* transport, uint64_t seed) {
+          return std::make_unique<WsworCoordinator>(wswor_config, transport,
+                                                    seed);
+        });
     const double t0 = Now();
     eng.Push(0, items.data(), items.size());
     eng.Flush();

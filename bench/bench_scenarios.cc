@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "sim/deployment.h"
 #include "stats/chi_square.h"
 #include "stats/ks_test.h"
 #include "stream/dynamics.h"
@@ -387,18 +388,12 @@ bool SameItemIds(const std::vector<Item>& a, const std::vector<Item>& b) {
   return true;
 }
 
-engine::EngineConfig StepSyncEngine(const ScenarioSpec& spec) {
-  engine::EngineConfig config;
-  config.num_sites = spec.num_sites;
-  config.step_synchronous = true;
-  return config;
-}
-
-// Each Engine*Identical builds the manual engine endpoint stack with the
-// facade's exact seed derivation (master RNG: one NextU64 per site in
-// index order, then the coordinator's where it takes one), replays the
-// scenario step-synchronously, and compares sample + every traffic
-// counter against the sim facade.
+// Each Engine*Identical builds the protocol's endpoints on an engine
+// through sim::Deploy, as its sim facade does, replays the scenario
+// step-synchronously (any on_step hook makes Engine::Run quiesce per
+// event), and compares sample + every traffic counter against the
+// facade.
+void StepSync(uint64_t) {}
 
 bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
                           uint64_t seed, uint64_t* messages) {
@@ -406,19 +401,18 @@ bool EngineWsworIdentical(const ScenarioSpec& spec, const Workload& w,
   DistributedWswor sim_sampler(config);
   sim_sampler.Run(w);
 
-  std::vector<std::unique_ptr<WsworSite>> sites;
-  std::unique_ptr<WsworCoordinator> coordinator;
-  engine::Engine eng(StepSyncEngine(spec));
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  coordinator = std::make_unique<WsworCoordinator>(config, &eng.transport(),
-                                                   master.NextU64());
-  eng.AttachCoordinator(coordinator.get());
-  eng.Run(w);
+  engine::Engine eng({.num_sites = spec.num_sites});
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<WsworSite>(config, i, transport, site_seed);
+      },
+      [&](sim::Transport* transport, uint64_t coordinator_seed) {
+        return std::make_unique<WsworCoordinator>(config, transport,
+                                                  coordinator_seed);
+      });
+  const auto& coordinator = endpoints.coordinator;
+  eng.Run(w, StepSync);
   const bool same =
       SameKeyedSample(sim_sampler.Sample(), coordinator->Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -432,17 +426,18 @@ bool EngineNaiveIdentical(const ScenarioSpec& spec, const Workload& w,
   NaiveDistributedWswor sim_sampler(spec.num_sites, kSampleSize, seed);
   sim_sampler.Run(w);
 
-  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
-  Rng master(seed);
-  for (int i = 0; i < spec.num_sites; ++i) {
-    sites.push_back(std::make_unique<NaiveWsworSite>(
-        kSampleSize, i, &eng.transport(), master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  NaiveWsworCoordinator coordinator(kSampleSize);
-  eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  engine::Engine eng({.num_sites = spec.num_sites});
+  const auto endpoints = sim::Deploy(
+      eng, seed,
+      [](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<NaiveWsworSite>(kSampleSize, i, transport,
+                                                site_seed);
+      },
+      [](sim::Transport*, uint64_t) {
+        return std::make_unique<NaiveWsworCoordinator>(kSampleSize);
+      });
+  const NaiveWsworCoordinator& coordinator = *endpoints.coordinator;
+  eng.Run(w, StepSync);
   const bool same =
       SameKeyedSample(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -457,17 +452,17 @@ bool EngineUsworIdentical(const ScenarioSpec& spec, const Workload& w,
   DistributedUnweightedSwor sim_sampler(config);
   sim_sampler.Run(w);
 
-  std::vector<std::unique_ptr<UsworSite>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites.push_back(std::make_unique<UsworSite>(config, i, &eng.transport(),
-                                                master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  UsworCoordinator coordinator(config, &eng.transport());
-  eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  engine::Engine eng({.num_sites = spec.num_sites});
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<UsworSite>(config, i, transport, site_seed);
+      },
+      [&](sim::Transport* transport, uint64_t) {
+        return std::make_unique<UsworCoordinator>(config, transport);
+      });
+  const UsworCoordinator& coordinator = *endpoints.coordinator;
+  eng.Run(w, StepSync);
   const bool same =
       SameItemIds(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -482,17 +477,18 @@ bool EngineSwrIdentical(const ScenarioSpec& spec, const Workload& w,
   DistributedSwr sim_sampler(config);
   sim_sampler.Run(w);
 
-  std::vector<std::unique_ptr<SlottedSwrSite>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites.push_back(std::make_unique<SlottedSwrSite>(
-        config, i, &eng.transport(), master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  SlottedSwrCoordinator coordinator(config, &eng.transport());
-  eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  engine::Engine eng({.num_sites = spec.num_sites});
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<SlottedSwrSite>(config, i, transport,
+                                                site_seed);
+      },
+      [&](sim::Transport* transport, uint64_t) {
+        return std::make_unique<SlottedSwrCoordinator>(config, transport);
+      });
+  const SlottedSwrCoordinator& coordinator = *endpoints.coordinator;
+  eng.Run(w, StepSync);
   const bool same =
       SameItemIds(sim_sampler.Sample(), coordinator.Sample()) &&
       SameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -507,18 +503,18 @@ bool EngineL1Identical(const ScenarioSpec& spec, const Workload& w,
   L1Tracker sim_tracker(config);
   sim_tracker.Run(w);
 
-  std::vector<std::unique_ptr<L1Site>> sites;
-  engine::Engine eng(StepSyncEngine(spec));
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites.push_back(std::make_unique<L1Site>(config, i, &eng.transport(),
-                                             master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  WsworCoordinator coordinator(L1CoordinatorConfig(config), &eng.transport(),
-                               master.NextU64());
-  eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  engine::Engine eng({.num_sites = spec.num_sites});
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<L1Site>(config, i, transport, site_seed);
+      },
+      [&](sim::Transport* transport, uint64_t coordinator_seed) {
+        return std::make_unique<WsworCoordinator>(
+            L1CoordinatorConfig(config), transport, coordinator_seed);
+      });
+  const WsworCoordinator& coordinator = *endpoints.coordinator;
+  eng.Run(w, StepSync);
   const double engine_estimate =
       L1EstimateFromThreshold(config, coordinator.Threshold());
   const bool same =

@@ -78,28 +78,14 @@ std::vector<KeyedItem> NaiveWsworCoordinator::Sample() const {
 
 NaiveDistributedWswor::NaiveDistributedWswor(int num_sites, int sample_size,
                                              uint64_t seed)
-    : runtime_(num_sites) {
-  Rng master(seed);
-  sites_.reserve(static_cast<size_t>(num_sites));
-  for (int i = 0; i < num_sites; ++i) {
-    sites_.push_back(std::make_unique<NaiveWsworSite>(
-        sample_size, i, &runtime_.network(), master.NextU64()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ = std::make_unique<NaiveWsworCoordinator>(sample_size);
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void NaiveDistributedWswor::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void NaiveDistributedWswor::Run(
-    const Workload& workload, const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
+    : SimFacade(
+          num_sites, seed,
+          [&](int i, sim::Transport* transport, uint64_t site_seed) {
+            return std::make_unique<NaiveWsworSite>(sample_size, i, transport,
+                                                    site_seed);
+          },
+          [&](sim::Transport*, uint64_t) {
+            return std::make_unique<NaiveWsworCoordinator>(sample_size);
+          }) {}
 
 }  // namespace dwrs

@@ -8,16 +8,13 @@
 #define DWRS_CORE_NAIVE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "random/geometric_skip.h"
 #include "random/rng.h"
 #include "sampling/keyed_item.h"
 #include "sampling/top_key_heap.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -74,21 +71,12 @@ class NaiveWsworCoordinator : public sim::CoordinatorNode {
 };
 
 // Facade mirroring DistributedWswor.
-class NaiveDistributedWswor {
+class NaiveDistributedWswor
+    : public sim::SimFacade<NaiveWsworSite, NaiveWsworCoordinator> {
  public:
   NaiveDistributedWswor(int num_sites, int sample_size, uint64_t seed);
 
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  std::vector<KeyedItem> Sample() const { return coordinator_->Sample(); }
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
-
- private:
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<NaiveWsworSite>> sites_;
-  std::unique_ptr<NaiveWsworCoordinator> coordinator_;
+  std::vector<KeyedItem> Sample() const { return coordinator().Sample(); }
 };
 
 }  // namespace dwrs

@@ -1,53 +1,29 @@
 #include "core/sampler.h"
 
-#include "util/check.h"
-
 namespace dwrs {
 
 DistributedWswor::DistributedWswor(const WsworConfig& config)
-    : config_(config),
-      runtime_(config.num_sites, config.delivery_delay, config.jitter_seed) {
-  Rng master(config.seed);
-  sites_.reserve(static_cast<size_t>(config.num_sites));
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites_.push_back(std::make_unique<WsworSite>(
-        config_, i, &runtime_.network(), master.NextU64()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ = std::make_unique<WsworCoordinator>(
-      config_, &runtime_.network(), master.NextU64());
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void DistributedWswor::Observe(int site, const Item& item) {
-  ++items_observed_;
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void DistributedWswor::Run(const Workload& workload,
-                           const std::function<void(uint64_t)>& on_step) {
-  DWRS_CHECK_EQ(workload.num_sites(), config_.num_sites);
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
-
-void DistributedWswor::FlushNetwork() { runtime_.Flush(); }
-
-std::vector<KeyedItem> DistributedWswor::Sample() const {
-  return coordinator_->Sample();
-}
+    : SimFacade(
+          config.num_sites, config.seed,
+          [&](int i, sim::Transport* transport, uint64_t seed) {
+            return std::make_unique<WsworSite>(config, i, transport, seed);
+          },
+          [&](sim::Transport* transport, uint64_t seed) {
+            return std::make_unique<WsworCoordinator>(config, transport,
+                                                      seed);
+          },
+          config.delivery_delay, config.jitter_seed),
+      config_(config) {}
 
 uint64_t DistributedWswor::KeysDecided() const {
   uint64_t total = 0;
-  for (const auto& site : sites_) total += site->keys_decided();
+  for (const auto& site : endpoints_.sites) total += site->keys_decided();
   return total;
 }
 
 uint64_t DistributedWswor::KeyBitsConsumed() const {
   uint64_t total = 0;
-  for (const auto& site : sites_) total += site->key_bits_consumed();
+  for (const auto& site : endpoints_.sites) total += site->key_bits_consumed();
   return total;
 }
 

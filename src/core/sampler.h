@@ -11,53 +11,35 @@
 #define DWRS_CORE_SAMPLER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/config.h"
 #include "core/coordinator.h"
 #include "core/site.h"
 #include "sampling/keyed_item.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
-class DistributedWswor {
+// Observe, Run, FlushNetwork, stats() and coordinator() come from
+// sim::SimFacade.
+class DistributedWswor : public sim::SimFacade<WsworSite, WsworCoordinator> {
  public:
   explicit DistributedWswor(const WsworConfig& config);
 
-  // Site `site` observes `item`; messages are exchanged per the protocol.
-  void Observe(int site, const Item& item);
-
-  // Convenience: replay a whole workload; `on_step` (if set) is called
-  // after each event with the 1-based prefix length — query points.
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  // Delivers any in-flight messages (only relevant with delivery_delay).
-  void FlushNetwork();
-
   // The weighted SWOR of everything observed so far (size min(t, s)).
-  std::vector<KeyedItem> Sample() const;
+  std::vector<KeyedItem> Sample() const { return coordinator().Sample(); }
 
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
   const WsworConfig& config() const { return config_; }
-  const WsworCoordinator& coordinator() const { return *coordinator_; }
 
   // Proposition 7 instrumentation aggregated over sites.
   uint64_t KeysDecided() const;
   uint64_t KeyBitsConsumed() const;
 
-  uint64_t items_observed() const { return items_observed_; }
+  uint64_t items_observed() const { return runtime_.steps(); }
 
  private:
   WsworConfig config_;
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<WsworSite>> sites_;
-  std::unique_ptr<WsworCoordinator> coordinator_;
-  uint64_t items_observed_ = 0;
 };
 
 }  // namespace dwrs

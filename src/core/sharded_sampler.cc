@@ -1,23 +1,6 @@
 #include "core/sharded_sampler.h"
 
-#include "random/rng.h"
-
 namespace dwrs {
-
-ShardedWsworSeeds DeriveShardedWsworSeeds(uint64_t seed,
-                                          const ShardTopology& topology) {
-  ShardedWsworSeeds out;
-  Rng master(seed);
-  out.site.reserve(static_cast<size_t>(topology.num_sites()));
-  for (int i = 0; i < topology.num_sites(); ++i) {
-    out.site.push_back(master.NextU64());
-  }
-  out.coordinator.reserve(static_cast<size_t>(topology.num_shards()));
-  for (int shard = 0; shard < topology.num_shards(); ++shard) {
-    out.coordinator.push_back(master.NextU64());
-  }
-  return out;
-}
 
 WsworConfig ShardWsworConfig(const WsworConfig& config,
                              const ShardTopology& topology, int shard) {

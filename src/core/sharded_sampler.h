@@ -7,12 +7,10 @@
 //   sampler.Run(workload);          // global site indices
 //   auto sample = sampler.Sample(); // exact global weighted SWOR
 //
-// Seed derivation extends DistributedWswor's: one master RNG draws the k
-// site seeds in global site order, then the S coordinator seeds in shard
-// order — so with S = 1 every draw, message, and sample is bit-identical
-// to the unsharded DistributedWswor (the property pinned by the sharded
-// test suite). The same derivation is exposed for engine-backed
-// harnesses so sim and engine sharded runs stay replay-equal.
+// Built through sim::DeploySharded (sim/deployment.h), whose seed rule
+// makes S = 1 bit-identical to the unsharded DistributedWswor in every
+// draw, message and sample (the property pinned by the sharded test
+// suite), and sim and engine sharded runs replay-equal.
 
 #ifndef DWRS_CORE_SHARDED_SAMPLER_H_
 #define DWRS_CORE_SHARDED_SAMPLER_H_
@@ -25,21 +23,12 @@
 #include "core/config.h"
 #include "core/coordinator.h"
 #include "core/site.h"
+#include "sim/deployment.h"
 #include "sim/sharded_runtime.h"
 #include "stream/sharding.h"
 #include "stream/workload.h"
 
 namespace dwrs {
-
-// Site seeds in global index order followed by per-shard coordinator
-// seeds, drawn from one master RNG — S = 1 reproduces DistributedWswor's
-// derivation exactly.
-struct ShardedWsworSeeds {
-  std::vector<uint64_t> site;
-  std::vector<uint64_t> coordinator;
-};
-ShardedWsworSeeds DeriveShardedWsworSeeds(uint64_t seed,
-                                          const ShardTopology& topology);
 
 // The protocol config shard `shard` runs: the global config with
 // num_sites narrowed to the shard's block (the paper's k becomes the
@@ -47,44 +36,31 @@ ShardedWsworSeeds DeriveShardedWsworSeeds(uint64_t seed,
 WsworConfig ShardWsworConfig(const WsworConfig& config,
                              const ShardTopology& topology, int shard);
 
-// The constructed endpoint set of a sharded weighted SWOR deployment.
-// Owned by the caller; under engine::ShardedEngine the usual teardown
-// contract applies (keep it alive until the backend is quiescent or
-// shut down).
-struct ShardedWsworEndpoints {
-  std::vector<std::unique_ptr<WsworSite>> sites;  // global index order
-  std::vector<std::unique_ptr<WsworCoordinator>> coordinators;  // per shard
-};
+// The constructed endpoint set of a sharded weighted SWOR deployment,
+// owned by the caller (sites in global index order, one coordinator per
+// shard). Declared after an engine::ShardedEngine backend, it shuts the
+// engine down before any endpoint dies.
+using ShardedWsworEndpoints =
+    sim::ShardedDeployment<WsworSite, WsworCoordinator>;
 
 // Builds and attaches the full endpoint set against any sharded backend
 // exposing topology()/shard_transport()/AttachSite()/
 // AttachShardCoordinator() — sim::ShardedRuntime and
-// engine::ShardedEngine both do. The ONE definition of the construction
-// and seed-derivation contract the S = 1 bit-identity and sim↔engine
-// replay properties depend on; facade, benches, and tests all build
-// through it.
+// engine::ShardedEngine both do — through sim::DeploySharded.
 template <typename Backend>
 ShardedWsworEndpoints AttachShardedWswor(const WsworConfig& config,
                                          Backend& backend) {
   const ShardTopology& topo = backend.topology();
-  const ShardedWsworSeeds seeds = DeriveShardedWsworSeeds(config.seed, topo);
-  ShardedWsworEndpoints out;
-  out.sites.reserve(static_cast<size_t>(topo.num_sites()));
-  for (int i = 0; i < topo.num_sites(); ++i) {
-    const int shard = topo.ShardOf(i);
-    out.sites.push_back(std::make_unique<WsworSite>(
-        ShardWsworConfig(config, topo, shard), topo.LocalOf(i),
-        &backend.shard_transport(shard), seeds.site[static_cast<size_t>(i)]));
-    backend.AttachSite(i, out.sites.back().get());
-  }
-  out.coordinators.reserve(static_cast<size_t>(topo.num_shards()));
-  for (int shard = 0; shard < topo.num_shards(); ++shard) {
-    out.coordinators.push_back(std::make_unique<WsworCoordinator>(
-        ShardWsworConfig(config, topo, shard), &backend.shard_transport(shard),
-        seeds.coordinator[static_cast<size_t>(shard)]));
-    backend.AttachShardCoordinator(shard, out.coordinators.back().get());
-  }
-  return out;
+  return sim::DeploySharded(
+      backend, config.seed,
+      [&](int shard, int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworSite>(
+            ShardWsworConfig(config, topo, shard), i, transport, seed);
+      },
+      [&](int shard, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworCoordinator>(
+            ShardWsworConfig(config, topo, shard), transport, seed);
+      });
 }
 
 class ShardedWswor {

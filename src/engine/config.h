@@ -40,15 +40,6 @@ struct EngineConfig {
   // values tighten control latency; larger values maximize span length.
   size_t control_poll_stride = 64;
 
-  // When true, Run() quiesces the whole engine after every event before
-  // invoking the per-step hook. The execution is then bit-identical to
-  // sim::Runtime with zero delivery delay (same endpoint callbacks in the
-  // same order with the same RNG draws) — the mode the equivalence tests
-  // run — at the price of destroying pipelining. Passing an on_step hook
-  // to Run() forces this behaviour for the duration of that Run, since
-  // querying endpoints is only legal at quiesce points.
-  bool step_synchronous = false;
-
   // Shard label stamped on this engine's flight-recorder events (the
   // sharded backend sets it per shard; standalone engines leave it 0).
   int trace_shard = 0;

@@ -171,7 +171,7 @@ void Engine::Run(const Workload& workload,
   DWRS_CHECK_EQ(workload.num_sites(), config_.num_sites);
   DWRS_CHECK(!shut_down_) << " engine already shut down";
   if (!started_) Start();
-  const bool step_synchronous = config_.step_synchronous || on_step != nullptr;
+  const bool step_synchronous = on_step != nullptr;
   // Events left before the next quiesce, pinned at 1 step-synchronously.
   // A local, not a member: the per-event cost stays one decrement and
   // branch that the compiler keeps in a register.
@@ -185,7 +185,7 @@ void Engine::Run(const Workload& workload,
     if (--countdown != 0) continue;
     if (step_synchronous) {
       Flush();
-      if (on_step) on_step(i + 1);
+      on_step(i + 1);
       countdown = 1;
     } else {
       // A paced quiesce: Flush without its O(k) visit of every site.

@@ -12,11 +12,9 @@
 // backend.
 //
 //   engine::Engine eng({.num_sites = k});
-//   // build endpoints against eng.transport(), then:
-//   for (int i = 0; i < k; ++i) eng.AttachSite(i, sites[i]);
-//   eng.AttachCoordinator(&coord);
+//   auto endpoints = sim::Deploy(eng, seed, make_site, make_coordinator);
 //   eng.Run(workload);          // batched, pipelined; quiescent on return
-//   auto sample = coord.Sample();  // legal: Run ends at a quiesce point
+//   endpoints.coordinator->Sample();  // legal: Run ends at a quiesce point
 //
 // Querying endpoints is legal exactly at quiesce points — after Run() or
 // Flush() returns, or inside a Run() on_step hook (which forces
@@ -28,21 +26,21 @@
 // thread is the feeder and the single producer of every item queue.
 // Flush runs queued sites on the calling thread before it waits
 // (caller-runs dispatch, see engine/scheduler.h), so the thread calling
-// Flush — and with it Run, which flushes at the end and,
-// step-synchronously (an on_step hook or config().step_synchronous),
-// after every event — may execute site endpoint callbacks itself. Such a
-// callback runs exactly as it would on a pool worker: one at a time per
-// site, under the same happens-before edges. It must therefore never
-// wait for the feeder.
+// Flush — and with it Run, which flushes at the end and, given an
+// on_step hook, after every event — may execute site endpoint callbacks
+// itself. Such a callback runs exactly as it would on a pool worker: one
+// at a time per site, under the same happens-before edges. It must
+// therefore never wait for the feeder.
 //
 // Teardown: endpoints are non-owned and worker threads call into them,
 // so an endpoint must never be destroyed while the engine is running
 // non-quiescently. Safe patterns: (a) let Run()/Flush() return (the
 // engine is quiescent; parked workers touch no endpoint again), (b) call
-// Shutdown() before the endpoints go out of scope, or (c) declare the
-// endpoints before the Engine so the Engine — which joins its workers in
-// its destructor — dies first. Destroying endpoints below a mid-stream
-// engine is a use-after-free on the worker threads.
+// Shutdown() before the endpoints go out of scope — the endpoints
+// sim::Deploy returns do so themselves (sim/deployment.h) — or (c)
+// declare the endpoints before the Engine so the Engine — which joins
+// its workers in its destructor — dies first. Destroying endpoints below
+// a mid-stream engine is a use-after-free on the worker threads.
 //
 // Tickers (sim::Runtime::AttachTicker) are not supported: OnRound models
 // the synchronous round structure of the paper, which a pipelined engine
@@ -106,7 +104,7 @@ class Engine : public sim::Transport {
   Engine& operator=(const Engine&) = delete;
 
   // The transport endpoints are constructed against (mirrors
-  // sim::Runtime::network()).
+  // sim::Runtime::transport()).
   sim::Transport& transport() { return *this; }
   int num_sites() const { return config_.num_sites; }
   // Resolved size of the scheduler's worker pool (config().num_workers
@@ -159,8 +157,10 @@ class Engine : public sim::Transport {
   // Runs the full workload and ends with Flush(). If `on_step` is set the
   // run is step-synchronous: the engine quiesces after every event and
   // invokes the hook with the 1-based prefix length — the continuous-
-  // query mode, mirroring sim::Runtime::Run. With config().step_synchronous
-  // the same pacing applies even without a hook.
+  // query mode, mirroring sim::Runtime::Run. The execution is then
+  // bit-identical to sim::Runtime with zero delivery delay (the same
+  // endpoint callbacks in the same order with the same RNG draws); the
+  // equivalence tests pass a no-op hook to get exactly that.
   //
   // Otherwise the run is pipelined and paced: it quiesces every
   // interval() events of a QuiescePacer that persists across Run calls

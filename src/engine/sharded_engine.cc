@@ -59,8 +59,7 @@ void ShardedEngine::Flush() {
 void ShardedEngine::Run(const Workload& workload,
                         const std::function<void(uint64_t)>& on_step) {
   DWRS_CHECK_EQ(workload.num_sites(), topology_.num_sites());
-  const bool step_synchronous =
-      config_.shard.step_synchronous || on_step != nullptr;
+  const bool step_synchronous = on_step != nullptr;
   // One countdown for the whole engine, as in Engine::Run.
   uint64_t countdown = step_synchronous ? 1 : pacer_.interval();
   for (uint64_t i = 0; i < workload.size(); ++i) {
@@ -72,7 +71,7 @@ void ShardedEngine::Run(const Workload& workload,
       // Only the owning shard can have in-flight work: quiescing it alone
       // reproduces sim::ShardedRuntime's per-event delivery exactly.
       owner.Flush();
-      if (on_step) on_step(i + 1);
+      on_step(i + 1);
       countdown = 1;
     } else {
       // Every shard at once, each on its own pool: the shards' partial

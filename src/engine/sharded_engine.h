@@ -16,14 +16,14 @@
 // means shards could live in different processes — the summaries are the
 // entire cross-shard traffic (see ROADMAP: multi-process transport).
 //
-// Construction mirrors engine::Engine per shard:
+// Construction mirrors engine::Engine per shard, through
+// sim::DeploySharded (sim/deployment.h): each global site i is built with
+// its LOCAL index eng.topology().LocalOf(i) against its shard's
+// shard_transport and attached as AttachSite(i, site), and each shard j
+// gets a coordinator via AttachShardCoordinator(j, coord):
 //
 //   ShardedEngine eng({.num_sites = k, .num_shards = S});
-//   // per global site i: build the endpoint with LOCAL index
-//   // eng.topology().LocalOf(i) against eng.shard_transport(shard),
-//   // then eng.AttachSite(i, site);
-//   // per shard j: build a coordinator against eng.shard_transport(j),
-//   // then eng.AttachShardCoordinator(j, coord);
+//   auto endpoints = AttachShardedWswor(config, eng);  // or DeploySharded
 //   eng.Run(workload);                  // global site indices
 //   auto sample = eng.MergedSample().TopEntries();
 //
@@ -85,7 +85,7 @@ class ShardedEngine {
   void Flush();
 
   // Runs the full global workload and ends with Flush(). An on_step hook
-  // (or shard.step_synchronous) forces step-synchronous execution —
+  // forces step-synchronous execution —
   // quiescing the owning shard after every event — which replays
   // sim::ShardedRuntime bit for bit. Otherwise the run is paced as
   // engine::Engine::Run is, by one QuiescePacer for the whole engine: a

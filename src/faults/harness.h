@@ -42,6 +42,7 @@
 #include "obs/tracing_transport.h"
 #include "random/rng.h"
 #include "sampling/mergeable_sample.h"
+#include "sim/deployment.h"
 #include "sim/node.h"
 #include "sim/runtime.h"
 #include "stream/sharding.h"
@@ -54,13 +55,12 @@ namespace dwrs::faults {
 enum class Backend { kSim, kEngine };
 
 // Independent randomness per site incarnation: a restarted site must not
-// replay its previous key stream.
+// replay its previous key stream. Incarnation `epoch` >= 1 takes the
+// epoch-th SplitMix64 output of a stream started at `base`.
 inline uint64_t RestartSeed(uint64_t base, uint32_t epoch) {
   if (epoch == 0) return base;
-  uint64_t z = base + 0x9E3779B97F4A7C15ull * epoch;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  uint64_t state = base + kSplitMix64Gamma * (epoch - 1);
+  return SplitMix64(&state);
 }
 
 // Aggregated outcome of a faulty run.
@@ -145,8 +145,8 @@ struct WsworFaultTraits {
   using Site = WsworSite;
   using Coordinator = WsworCoordinator;
   static std::unique_ptr<Coordinator> MakeCoordinator(
-      const Config& config, sim::Transport* transport, Rng& master) {
-    return std::make_unique<Coordinator>(config, transport, master.NextU64());
+      const Config& config, sim::Transport* transport, uint64_t seed) {
+    return std::make_unique<Coordinator>(config, transport, seed);
   }
   static std::vector<uint64_t> SampleIds(const Coordinator& coordinator) {
     std::vector<uint64_t> ids;
@@ -160,7 +160,7 @@ struct UsworFaultTraits {
   using Site = UsworSite;
   using Coordinator = UsworCoordinator;
   static std::unique_ptr<Coordinator> MakeCoordinator(
-      const Config& config, sim::Transport* transport, Rng& /*master*/) {
+      const Config& config, sim::Transport* transport, uint64_t /*seed*/) {
     return std::make_unique<Coordinator>(config, transport);
   }
   static std::vector<uint64_t> SampleIds(const Coordinator& coordinator) {
@@ -175,12 +175,12 @@ struct L1FaultTraits {
   using Site = L1Site;
   using Coordinator = WsworCoordinator;
   static std::unique_ptr<Coordinator> MakeCoordinator(
-      const Config& config, sim::Transport* transport, Rng& master) {
+      const Config& config, sim::Transport* transport, uint64_t seed) {
     // Same mapping L1Tracker itself uses; its delivery_delay field is a
     // property of the reliable simulated network and is superseded here
     // by the FaultConfig's delay schedule.
     return std::make_unique<Coordinator>(L1CoordinatorConfig(config),
-                                         transport, master.NextU64());
+                                         transport, seed);
   }
   static std::vector<uint64_t> SampleIds(const Coordinator& coordinator) {
     return WsworFaultTraits::SampleIds(coordinator);
@@ -242,7 +242,6 @@ class FaultyRun {
     } else {
       engine::EngineConfig engine_config;
       engine_config.num_sites = num_sites_;
-      engine_config.step_synchronous = true;
       engine_config.trace_shard = trace_shard;
       engine_ = std::make_unique<engine::Engine>(engine_config);
     }
@@ -259,14 +258,11 @@ class FaultyRun {
     coordinator_transport_ =
         std::make_unique<SwitchableTransport>(tracing_.get());
 
-    // Seed derivation mirrors the reliable facades exactly: one master
-    // draw per site in index order, then the coordinator's.
-    Rng master(config.seed);
-    std::vector<uint64_t> site_seeds;
-    site_seeds.reserve(static_cast<size_t>(num_sites_));
-    for (int i = 0; i < num_sites_; ++i) site_seeds.push_back(master.NextU64());
-    coordinator_ =
-        Traits::MakeCoordinator(config, coordinator_transport_.get(), master);
+    // The reliable facades' seeds (sim/deployment.h).
+    const sim::DeploymentSeeds seeds =
+        sim::DeriveDeploymentSeeds(config.seed, num_sites_);
+    coordinator_ = Traits::MakeCoordinator(
+        config, coordinator_transport_.get(), seeds.coordinator[0]);
     if constexpr (requires { coordinator_->set_trace_shard(trace_shard); }) {
       coordinator_->set_trace_shard(trace_shard);
     }
@@ -278,7 +274,7 @@ class FaultyRun {
     for (int i = 0; i < num_sites_; ++i) {
       site_sessions_.push_back(std::make_unique<SiteSession>(
           i, tracing_.get(), &schedule_,
-          [config, i, seed = site_seeds[static_cast<size_t>(i)]](
+          [config, i, seed = seeds.site[static_cast<size_t>(i)]](
               sim::Transport* upper, uint32_t epoch) {
             return std::make_unique<typename Traits::Site>(
                 config, i, upper, RestartSeed(seed, epoch));

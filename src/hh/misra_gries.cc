@@ -71,15 +71,16 @@ enum MgMessageType : uint32_t {
 
 }  // namespace
 
-class DistributedMgHh::Site : public sim::SiteNode {
+class MgHhSite : public sim::SiteNode {
  public:
-  Site(int index, size_t capacity, uint64_t sync_every, sim::Transport* transport)
+  MgHhSite(int index, size_t capacity, uint64_t sync_every,
+           sim::Transport* transport)
       : index_(index),
         sync_every_(sync_every),
         transport_(transport),
         summary_(capacity) {
-    // Guarded here (not only in DistributedMgHh) since MakeSite exposes
-    // Site construction directly; 0 would wedge the OnItems chunk loop.
+    // Guarded here, where DistributedMgHh and MakeSite both construct
+    // sites; 0 would wedge the OnItems chunk loop.
     DWRS_CHECK_GT(sync_every, 0u);
   }
 
@@ -134,9 +135,9 @@ class DistributedMgHh::Site : public sim::SiteNode {
   MisraGries summary_;
 };
 
-class DistributedMgHh::Coordinator : public sim::CoordinatorNode {
+class MgHhCoordinator : public sim::CoordinatorNode {
  public:
-  explicit Coordinator(int num_sites)
+  explicit MgHhCoordinator(int num_sites)
       : pending_(static_cast<size_t>(num_sites)),
         summaries_(static_cast<size_t>(num_sites)),
         totals_(static_cast<size_t>(num_sites), 0.0) {}
@@ -185,38 +186,25 @@ class DistributedMgHh::Coordinator : public sim::CoordinatorNode {
 std::unique_ptr<sim::SiteNode> DistributedMgHh::MakeSite(
     int index, size_t capacity, uint64_t sync_every,
     sim::Transport* transport) {
-  return std::make_unique<Site>(index, capacity, sync_every, transport);
+  return std::make_unique<MgHhSite>(index, capacity, sync_every, transport);
 }
 
 DistributedMgHh::DistributedMgHh(int num_sites, size_t capacity,
                                  uint64_t sync_every)
-    : runtime_(num_sites) {
-  DWRS_CHECK_GT(sync_every, 0u);
-  for (int i = 0; i < num_sites; ++i) {
-    sites_.push_back(std::make_unique<Site>(i, capacity, sync_every,
-                                            &runtime_.network()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ = std::make_unique<Coordinator>(num_sites);
-  runtime_.AttachCoordinator(coordinator_.get());
-}
+    : SimFacade(
+          num_sites, /*seed=*/0,
+          [&](int i, sim::Transport* transport, uint64_t) {
+            return std::make_unique<MgHhSite>(i, capacity, sync_every,
+                                              transport);
+          },
+          [&](sim::Transport*, uint64_t) {
+            return std::make_unique<MgHhCoordinator>(num_sites);
+          }) {}
 
 DistributedMgHh::~DistributedMgHh() = default;
 
-void DistributedMgHh::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void DistributedMgHh::Run(const Workload& workload,
-                          const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
-
 std::vector<Item> DistributedMgHh::HeavyHitters(double eps) const {
-  return coordinator_->HeavyHitters(eps);
+  return coordinator().HeavyHitters(eps);
 }
 
 }  // namespace dwrs

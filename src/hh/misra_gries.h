@@ -10,13 +10,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -55,36 +53,26 @@ class MisraGries {
   std::unordered_map<uint64_t, double> counters_;
 };
 
+// The endpoints of DistributedMgHh, defined in misra_gries.cc.
+class MgHhSite;
+class MgHhCoordinator;
+
 // Distributed heavy hitters by periodic Misra-Gries merging: every site
 // keeps a local MG summary and ships it to the coordinator every
 // `sync_every` local items (message cost = capacity words per sync).
-class DistributedMgHh {
+class DistributedMgHh : public sim::SimFacade<MgHhSite, MgHhCoordinator> {
  public:
   DistributedMgHh(int num_sites, size_t capacity, uint64_t sync_every);
-  ~DistributedMgHh();  // out-of-line: Site/Coordinator are incomplete here
-
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
+  ~DistributedMgHh();  // out-of-line: the endpoints are incomplete here
 
   // Ids whose merged estimate is >= eps * (coordinator's known weight).
   std::vector<Item> HeavyHitters(double eps) const;
-
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
 
   // A standalone MG site endpoint (local summary + periodic ship),
   // exposed for the hot-path bench and the span transcript tests.
   static std::unique_ptr<sim::SiteNode> MakeSite(int index, size_t capacity,
                                                  uint64_t sync_every,
                                                  sim::Transport* transport);
-
- private:
-  class Site;
-  class Coordinator;
-
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<Site>> sites_;
-  std::unique_ptr<Coordinator> coordinator_;
 };
 
 }  // namespace dwrs

@@ -49,26 +49,14 @@ void DetL1Coordinator::OnMessage(int site, const sim::Payload& msg) {
 
 DeterministicL1Tracker::DeterministicL1Tracker(int num_sites, double eps,
                                                int delivery_delay)
-    : runtime_(num_sites, delivery_delay) {
-  for (int i = 0; i < num_sites; ++i) {
-    sites_.push_back(
-        std::make_unique<DetL1Site>(eps, i, &runtime_.network()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ = std::make_unique<DetL1Coordinator>(num_sites);
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void DeterministicL1Tracker::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void DeterministicL1Tracker::Run(
-    const Workload& workload, const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
+    : SimFacade(
+          num_sites, /*seed=*/0,
+          [&](int i, sim::Transport* transport, uint64_t) {
+            return std::make_unique<DetL1Site>(eps, i, transport);
+          },
+          [&](sim::Transport*, uint64_t) {
+            return std::make_unique<DetL1Coordinator>(num_sites);
+          },
+          delivery_delay) {}
 
 }  // namespace dwrs

@@ -8,12 +8,9 @@
 #define DWRS_L1_DETERMINISTIC_L1_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -53,21 +50,12 @@ class DetL1Coordinator : public sim::CoordinatorNode {
   double total_ = 0.0;
 };
 
-class DeterministicL1Tracker {
+class DeterministicL1Tracker
+    : public sim::SimFacade<DetL1Site, DetL1Coordinator> {
  public:
   DeterministicL1Tracker(int num_sites, double eps, int delivery_delay = 0);
 
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  double Estimate() const { return coordinator_->Estimate(); }
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
-
- private:
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<DetL1Site>> sites_;
-  std::unique_ptr<DetL1Coordinator> coordinator_;
+  double Estimate() const { return coordinator().Estimate(); }
 };
 
 }  // namespace dwrs

@@ -92,32 +92,20 @@ WsworConfig L1CoordinatorConfig(const L1TrackerConfig& config) {
 }
 
 L1Tracker::L1Tracker(const L1TrackerConfig& config)
-    : config_(config), runtime_(config.num_sites, config.delivery_delay) {
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites_.push_back(std::make_unique<L1Site>(config_, i, &runtime_.network(),
-                                              master.NextU64()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ = std::make_unique<WsworCoordinator>(
-      L1CoordinatorConfig(config_), &runtime_.network(), master.NextU64());
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void L1Tracker::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void L1Tracker::Run(const Workload& workload,
-                    const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
+    : SimFacade(
+          config.num_sites, config.seed,
+          [&](int i, sim::Transport* transport, uint64_t seed) {
+            return std::make_unique<L1Site>(config, i, transport, seed);
+          },
+          [&](sim::Transport* transport, uint64_t seed) {
+            return std::make_unique<WsworCoordinator>(
+                L1CoordinatorConfig(config), transport, seed);
+          },
+          config.delivery_delay),
+      config_(config) {}
 
 double L1Tracker::Estimate() const {
-  return L1EstimateFromThreshold(config_, coordinator_->Threshold());
+  return L1EstimateFromThreshold(config_, coordinator().Threshold());
 }
 
 double L1EstimateFromThreshold(const L1TrackerConfig& config, double u) {

@@ -19,16 +19,13 @@
 #define DWRS_L1_L1_TRACKER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/config.h"
 #include "core/coordinator.h"
 #include "random/geometric_skip.h"
 #include "random/rng.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -73,25 +70,17 @@ class L1Site : public sim::SiteNode {
   double threshold_ = 0.0;
 };
 
-class L1Tracker {
+class L1Tracker : public sim::SimFacade<L1Site, WsworCoordinator> {
  public:
   explicit L1Tracker(const L1TrackerConfig& config);
-
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
 
   // W-hat = s * u / ell; 0 before any item arrived.
   double Estimate() const;
 
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
   const L1TrackerConfig& config() const { return config_; }
 
  private:
   L1TrackerConfig config_;
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<L1Site>> sites_;
-  std::unique_ptr<WsworCoordinator> coordinator_;
 };
 
 // W-hat = s * u / ell given the coordinator's s-th largest key u (0 while

@@ -127,29 +127,16 @@ void SqrtkL1Coordinator::OnMessage(int site, const sim::Payload& msg) {
 
 SqrtkL1Tracker::SqrtkL1Tracker(int num_sites, double eps, uint64_t seed,
                                int delivery_delay)
-    : runtime_(num_sites, delivery_delay) {
-  Rng master(seed);
-  for (int i = 0; i < num_sites; ++i) {
-    sites_.push_back(std::make_unique<SqrtkL1Site>(i, &runtime_.network(),
-                                                   master.NextU64()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ = std::make_unique<SqrtkL1Coordinator>(num_sites, eps,
-                                                      &runtime_.network());
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void SqrtkL1Tracker::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void SqrtkL1Tracker::Run(const Workload& workload,
-                         const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
+    : SimFacade(
+          num_sites, seed,
+          [](int i, sim::Transport* transport, uint64_t site_seed) {
+            return std::make_unique<SqrtkL1Site>(i, transport, site_seed);
+          },
+          [&](sim::Transport* transport, uint64_t) {
+            return std::make_unique<SqrtkL1Coordinator>(num_sites, eps,
+                                                        transport);
+          },
+          delivery_delay) {}
 
 double HyzMessageBound(int num_sites, double eps, double total_weight) {
   return std::sqrt(static_cast<double>(num_sites)) / eps *

@@ -15,14 +15,11 @@
 #define DWRS_L1_SQRTK_L1_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "random/geometric_skip.h"
 #include "random/rng.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -86,22 +83,13 @@ class SqrtkL1Coordinator : public sim::CoordinatorNode {
   double q_ = 1.0;
 };
 
-class SqrtkL1Tracker {
+class SqrtkL1Tracker
+    : public sim::SimFacade<SqrtkL1Site, SqrtkL1Coordinator> {
  public:
   SqrtkL1Tracker(int num_sites, double eps, uint64_t seed,
                  int delivery_delay = 0);
 
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  double Estimate() const { return coordinator_->Estimate(); }
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
-
- private:
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<SqrtkL1Site>> sites_;
-  std::unique_ptr<SqrtkL1Coordinator> coordinator_;
+  double Estimate() const { return coordinator().Estimate(); }
 };
 
 // [23]'s bound for k <= 1/eps^2 (up to constants): (sqrt(k)/eps) log W.

@@ -74,7 +74,8 @@ enum class EventType : uint16_t {
   kWorkerPark = 23,        // pool worker parked, nothing runnable (a=worker)
   kWalAppend = 24,         // durability: one record framed into the WAL
   kWalFsync = 25,          // durability: group commit flushed (a=bytes)
-  kCheckpointWrite = 26,   // durability: checkpoint file written (a=seq)
+  kCheckpointWrite = 26,   // durability: checkpoint handed to the writer
+                           // thread, which persists it (a=seq)
   kRecoveryReplay = 27,    // durability: WAL tail replayed (a=records)
   kQueryWait = 28,         // freshness-SLO wait (a=min_version, dir=timeout)
 };

@@ -2,8 +2,8 @@
 //
 // Engine (the production path): EnableWsworLiveQueries installs a
 // coordinator-thread hook on every shard of an engine::ShardedEngine
-// that captures and publishes the shard's snapshot after each processed
-// message — shard-local quiesce points — and publishes each shard's
+// that captures and publishes the shard's snapshot once per coordinator
+// drain pass — shard-local quiesce points — and publishes each shard's
 // initial (empty) state eagerly so readers always find a snapshot. The
 // returned LiveShardPublishers owns the per-shard publishers; build a
 // QueryService over views() and query from any thread while ingestion
@@ -16,7 +16,7 @@
 // boundary the reference's latest snapshot per shard is then exactly
 // the engine's (samples, thresholds, state versions, steps, and message
 // stats alike; only publish_seq may differ, since the engine publishes
-// once per message and the reference once per changed step) — the
+// once per drain pass and the reference once per changed step) — the
 // bit-for-bit replay property pinned by tests/query_test.cc.
 
 #ifndef DWRS_QUERY_LIVE_H_

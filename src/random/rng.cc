@@ -12,7 +12,7 @@ inline uint64_t Rotl(uint64_t x, int k) {
 }  // namespace
 
 uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+  uint64_t z = (*state += kSplitMix64Gamma);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);

@@ -53,7 +53,11 @@ class Rng {
   uint64_t state_[4];
 };
 
-// SplitMix64 step, exposed for seeding-related tests.
+// SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): advances `*state` by
+// kSplitMix64Gamma and returns the mixed new state. The one copy of the
+// mix: Rng seeding, ShardSeed, faults::RestartSeed and sim::Network's
+// delay jitter all draw through it.
+inline constexpr uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ull;
 uint64_t SplitMix64(uint64_t* state);
 
 }  // namespace dwrs

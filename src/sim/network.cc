@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include "random/rng.h"
 #include "util/check.h"
 
 namespace dwrs::sim {
@@ -18,12 +19,9 @@ Network::Network(int num_sites, int delivery_delay, uint64_t jitter_seed)
 uint64_t Network::NextDueStep(size_t channel) {
   uint64_t delay = static_cast<uint64_t>(delivery_delay_);
   if (jitter_state_ != 0 && delivery_delay_ > 0) {
-    // Cheap SplitMix64 draw; uniform in [0, delivery_delay].
-    uint64_t z = (jitter_state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    delay = z % (static_cast<uint64_t>(delivery_delay_) + 1);
+    // A SplitMix64 draw, uniform in [0, delivery_delay].
+    delay = SplitMix64(&jitter_state_) %
+            (static_cast<uint64_t>(delivery_delay_) + 1);
   }
   uint64_t due = step_ + delay;
   // FIFO per channel: never due earlier than the previous message.

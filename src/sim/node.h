@@ -5,9 +5,10 @@
 //   sim::Runtime    — single-threaded, step-synchronous simulated network
 //                     (src/sim/network.h); exact, deterministic, counts
 //                     messages per the paper's model.
-//   engine::Engine  — multi-threaded execution engine (src/engine/); one
-//                     thread per site, batched ingestion, MPSC channel to
-//                     a coordinator thread.
+//   engine::Engine  — multi-threaded execution engine (src/engine/); k
+//                     logical sites multiplexed over a work-stealing
+//                     worker pool, batched ingestion, MPSC channel to a
+//                     coordinator thread.
 //
 // Endpoints are single-threaded by contract: the backend guarantees that
 // OnItem / OnMessage / OnRound of one endpoint are never invoked
@@ -28,7 +29,7 @@
 namespace dwrs::sim {
 
 // The send side of the coordinator model. Implemented by sim::Network
-// (FIFO queues with delay/jitter) and engine::EngineTransport (bounded
+// (FIFO queues with delay/jitter) and engine::Engine (bounded
 // inter-thread channels). Endpoints depend only on this interface, which
 // keeps the concurrent engine free of the simulated network and vice
 // versa.

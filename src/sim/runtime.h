@@ -22,6 +22,8 @@ class Runtime {
   Runtime(int num_sites, int delivery_delay = 0, uint64_t jitter_seed = 0);
 
   Network& network() { return network_; }
+  // The backend-agnostic spelling shared with engine::Engine.
+  Transport& transport() { return network_; }
   const MessageStats& stats() const { return network_.stats(); }
   int num_sites() const { return network_.num_sites(); }
 

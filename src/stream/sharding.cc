@@ -1,5 +1,7 @@
 #include "stream/sharding.h"
 
+#include "random/rng.h"
+
 namespace dwrs {
 
 std::vector<Workload> SplitByShard(const Workload& workload,
@@ -22,10 +24,9 @@ std::vector<Workload> SplitByShard(const Workload& workload,
 }
 
 uint64_t ShardSeed(uint64_t base, int shard) {
-  uint64_t z = base + 0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(shard) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  // The (shard + 1)-th SplitMix64 output of a stream started at `base`.
+  uint64_t state = base + kSplitMix64Gamma * static_cast<uint64_t>(shard);
+  return SplitMix64(&state);
 }
 
 }  // namespace dwrs

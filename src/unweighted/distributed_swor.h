@@ -13,16 +13,13 @@
 #define DWRS_UNWEIGHTED_DISTRIBUTED_SWOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "random/geometric_skip.h"
 #include "random/rng.h"
 #include "sampling/top_key_heap.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -109,22 +106,12 @@ class UsworCoordinator : public sim::CoordinatorNode {
 // key (the order UsworCoordinator::Sample reports).
 std::vector<Item> UsworSampleFromMerged(const MergeableSample& merged);
 
-class DistributedUnweightedSwor {
+class DistributedUnweightedSwor
+    : public sim::SimFacade<UsworSite, UsworCoordinator> {
  public:
   explicit DistributedUnweightedSwor(const UsworConfig& config);
 
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  std::vector<Item> Sample() const { return coordinator_->Sample(); }
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
-
- private:
-  UsworConfig config_;
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<UsworSite>> sites_;
-  std::unique_ptr<UsworCoordinator> coordinator_;
+  std::vector<Item> Sample() const { return coordinator().Sample(); }
 };
 
 }  // namespace dwrs

@@ -139,28 +139,14 @@ size_t SlottedSwrCoordinator::DistinctInSample() const {
 }
 
 DistributedSwr::DistributedSwr(const SlottedSwrConfig& config)
-    : config_(config), runtime_(config.num_sites, config.delivery_delay) {
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites_.push_back(std::make_unique<SlottedSwrSite>(
-        config_, i, &runtime_.network(), master.NextU64()));
-    runtime_.AttachSite(i, sites_.back().get());
-  }
-  coordinator_ =
-      std::make_unique<SlottedSwrCoordinator>(config_, &runtime_.network());
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void DistributedSwr::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void DistributedSwr::Run(const Workload& workload,
-                         const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
-}
+    : SimFacade(
+          config.num_sites, config.seed,
+          [&](int i, sim::Transport* transport, uint64_t seed) {
+            return std::make_unique<SlottedSwrSite>(config, i, transport, seed);
+          },
+          [&](sim::Transport* transport, uint64_t) {
+            return std::make_unique<SlottedSwrCoordinator>(config, transport);
+          },
+          config.delivery_delay) {}
 
 }  // namespace dwrs

@@ -13,13 +13,10 @@
 #define DWRS_UNWEIGHTED_DISTRIBUTED_SWR_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "random/rng.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 
 namespace dwrs {
 
@@ -96,23 +93,13 @@ class SlottedSwrCoordinator : public sim::CoordinatorNode {
 };
 
 // Facade running the s races over the simulated network.
-class DistributedSwr {
+class DistributedSwr
+    : public sim::SimFacade<SlottedSwrSite, SlottedSwrCoordinator> {
  public:
   explicit DistributedSwr(const SlottedSwrConfig& config);
 
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  std::vector<Item> Sample() const { return coordinator_->Sample(); }
-  size_t DistinctInSample() const { return coordinator_->DistinctInSample(); }
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
-
- private:
-  SlottedSwrConfig config_;
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<SlottedSwrSite>> sites_;
-  std::unique_ptr<SlottedSwrCoordinator> coordinator_;
+  std::vector<Item> Sample() const { return coordinator().Sample(); }
+  size_t DistinctInSample() const { return coordinator().DistinctInSample(); }
 };
 
 }  // namespace dwrs

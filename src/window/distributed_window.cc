@@ -96,34 +96,20 @@ std::vector<KeyedItem> WindowCoordinator::Sample() const {
 }
 
 DistributedWindowWswor::DistributedWindowWswor(const WindowConfig& config)
-    : config_(config), runtime_(config.num_sites) {
-  Rng master(config.seed);
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites_.push_back(std::make_unique<WindowSite>(
-        config_, i, &runtime_.network(), master.NextU64()));
-    runtime_.AttachSite(i, sites_.back().get());
-    runtime_.AttachTicker(sites_.back().get());
-  }
-  coordinator_ =
-      std::make_unique<WindowCoordinator>(config_, &runtime_.network());
-  runtime_.AttachCoordinator(coordinator_.get());
-}
-
-void DistributedWindowWswor::Observe(int site, const Item& item) {
-  runtime_.Deliver(WorkloadEvent{site, item});
-}
-
-void DistributedWindowWswor::Run(
-    const Workload& workload, const std::function<void(uint64_t)>& on_step) {
-  for (uint64_t i = 0; i < workload.size(); ++i) {
-    Observe(workload.event(i).site, workload.event(i).item);
-    if (on_step) on_step(i + 1);
-  }
+    : SimFacade(
+          config.num_sites, config.seed,
+          [&](int i, sim::Transport* transport, uint64_t seed) {
+            return std::make_unique<WindowSite>(config, i, transport, seed);
+          },
+          [&](sim::Transport* transport, uint64_t) {
+            return std::make_unique<WindowCoordinator>(config, transport);
+          }) {
+  for (const auto& site : endpoints_.sites) runtime_.AttachTicker(site.get());
 }
 
 size_t DistributedWindowWswor::MaxSiteSkyline() const {
   size_t max_size = 0;
-  for (const auto& site : sites_) {
+  for (const auto& site : endpoints_.sites) {
     max_size = std::max(max_size, site->SkylineSize());
   }
   return max_size;

@@ -14,15 +14,12 @@
 #define DWRS_WINDOW_DISTRIBUTED_WINDOW_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "random/rng.h"
 #include "sampling/keyed_item.h"
-#include "sim/runtime.h"
-#include "stream/workload.h"
+#include "sim/deployment.h"
 #include "window/skyline.h"
 
 namespace dwrs {
@@ -85,26 +82,16 @@ class WindowCoordinator : public sim::CoordinatorNode {
   KeySkyline skyline_;
 };
 
-class DistributedWindowWswor {
+class DistributedWindowWswor
+    : public sim::SimFacade<WindowSite, WindowCoordinator> {
  public:
   explicit DistributedWindowWswor(const WindowConfig& config);
 
-  void Observe(int site, const Item& item);
-  void Run(const Workload& workload,
-           const std::function<void(uint64_t)>& on_step = nullptr);
-
-  std::vector<KeyedItem> Sample() const { return coordinator_->Sample(); }
-  const sim::MessageStats& stats() const { return runtime_.stats(); }
+  std::vector<KeyedItem> Sample() const { return coordinator().Sample(); }
 
   // Space audit across all nodes.
   size_t MaxSiteSkyline() const;
-  size_t CoordinatorSkyline() const { return coordinator_->SkylineSize(); }
-
- private:
-  WindowConfig config_;
-  sim::Runtime runtime_;
-  std::vector<std::unique_ptr<WindowSite>> sites_;
-  std::unique_ptr<WindowCoordinator> coordinator_;
+  size_t CoordinatorSkyline() const { return coordinator().SkylineSize(); }
 };
 
 }  // namespace dwrs

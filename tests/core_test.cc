@@ -10,10 +10,17 @@
 #include "core/site.h"
 #include "core/naive.h"
 #include "core/sampler.h"
+#include "hh/misra_gries.h"
+#include "l1/deterministic_l1.h"
+#include "l1/l1_tracker.h"
+#include "l1/sqrtk_l1.h"
 #include "stats/chi_square.h"
 #include "stream/workload.h"
 #include "test_util.h"
+#include "unweighted/distributed_swor.h"
+#include "unweighted/distributed_swr.h"
 #include "util/math_util.h"
+#include "window/distributed_window.h"
 
 namespace dwrs {
 namespace {
@@ -530,6 +537,31 @@ TEST(ProtocolFailureDeathTest, OutOfRangeSiteRejected) {
   DistributedWswor sampler(
       WsworConfig{.num_sites = 2, .sample_size = 4, .seed = 1});
   EXPECT_DEATH(sampler.Observe(5, Item{1, 1.0}), "DWRS_CHECK");
+}
+
+TEST(ProtocolFailureDeathTest, FacadeRunRejectsSiteCountMismatch) {
+  // Every facade's Run is sim::Runtime::Run, whose named check rejects a
+  // workload built for another site count.
+  const Workload two_sites(2, {WorkloadEvent{0, Item{1, 1.0}}});
+  const char* kCheck = "runtime\\.cc.*workload\\.num_sites\\(\\)";
+  DistributedWswor wswor({.num_sites = 3, .sample_size = 4, .seed = 1});
+  EXPECT_DEATH(wswor.Run(two_sites), kCheck);
+  NaiveDistributedWswor naive(3, 4, 1);
+  EXPECT_DEATH(naive.Run(two_sites), kCheck);
+  DistributedUnweightedSwor uswor({.num_sites = 3, .sample_size = 4});
+  EXPECT_DEATH(uswor.Run(two_sites), kCheck);
+  DistributedSwr swr({.num_sites = 3, .sample_size = 4});
+  EXPECT_DEATH(swr.Run(two_sites), kCheck);
+  L1Tracker l1({.num_sites = 3, .eps = 0.25});
+  EXPECT_DEATH(l1.Run(two_sites), kCheck);
+  SqrtkL1Tracker sqrtk(3, 0.25, 1);
+  EXPECT_DEATH(sqrtk.Run(two_sites), kCheck);
+  DeterministicL1Tracker det(3, 0.25);
+  EXPECT_DEATH(det.Run(two_sites), kCheck);
+  DistributedMgHh mg(3, 4, 8);
+  EXPECT_DEATH(mg.Run(two_sites), kCheck);
+  DistributedWindowWswor window({.num_sites = 3, .sample_size = 4});
+  EXPECT_DEATH(window.Run(two_sites), kCheck);
 }
 
 TEST(NaiveWsworTest, SendsMoreMessagesThanOptimal) {

@@ -16,6 +16,7 @@
 #include "core/sampler.h"
 #include "engine/channels.h"
 #include "engine/engine.h"
+#include "sim/deployment.h"
 #include "stats/ks_test.h"
 #include "stream/workload.h"
 #include "test_util.h"
@@ -136,30 +137,31 @@ TEST(ChannelTest, CloseUnblocksAFullProducer) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-backed protocol harnesses mirroring the sim facades' seed
-// derivation exactly (master RNG: one NextU64 per site, then one for the
-// coordinator where it takes a seed).
+// Engine-backed protocol harnesses built through sim::Deploy, the
+// builder and seed derivation of the sim facades.
 
 struct EngineWswor {
   EngineWswor(const WsworConfig& config, const EngineConfig& engine_config)
-      : eng(engine_config) {
-    Rng master(config.seed);
-    for (int i = 0; i < config.num_sites; ++i) {
-      sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                  master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    coordinator = std::make_unique<WsworCoordinator>(config, &eng.transport(),
-                                                     master.NextU64());
-    eng.AttachCoordinator(coordinator.get());
-  }
-  // Endpoints declared before the engine: destruction joins the worker
-  // threads first, making teardown safe even mid-stream (see the teardown
-  // contract in engine/engine.h).
-  std::vector<std::unique_ptr<WsworSite>> sites;
-  std::unique_ptr<WsworCoordinator> coordinator;
+      : eng(engine_config),
+        endpoints(sim::Deploy(
+            eng, config.seed,
+            [&](int i, sim::Transport* transport, uint64_t seed) {
+              return std::make_unique<WsworSite>(config, i, transport, seed);
+            },
+            [&](sim::Transport* transport, uint64_t seed) {
+              return std::make_unique<WsworCoordinator>(config, transport,
+                                                        seed);
+            })),
+        coordinator(endpoints.coordinator.get()) {}
   Engine eng;
+  // Shuts the engine down before any endpoint dies, making teardown safe
+  // even mid-stream (see the teardown contract in engine/engine.h).
+  sim::Deployment<WsworSite, WsworCoordinator> endpoints;
+  WsworCoordinator* coordinator;
 };
+
+// Any on_step hook makes Engine::Run step-synchronous.
+void NoOp(uint64_t) {}
 
 Workload ZipfWorkload(int k, uint64_t n, uint64_t seed) {
   return WorkloadBuilder()
@@ -203,9 +205,8 @@ TEST(EngineEquivalenceTest, StepSyncWsworMatchesSimExactly) {
   DistributedWswor sim_sampler(config);
   sim_sampler.Run(w);
 
-  EngineWswor es(config,
-                 EngineConfig{.num_sites = 4, .step_synchronous = true});
-  es.eng.Run(w);
+  EngineWswor es(config, EngineConfig{.num_sites = 4});
+  es.eng.Run(w, NoOp);
 
   ExpectSameSample(sim_sampler.Sample(), es.coordinator->Sample());
   ExpectSameStats(sim_sampler.stats(), es.eng.stats().MessageSnapshot());
@@ -228,9 +229,8 @@ TEST(EngineEquivalenceTest, SingleSiteDeterminism) {
   DistributedWswor sim_sampler(config);
   sim_sampler.Run(w);
 
-  EngineWswor es(config,
-                 EngineConfig{.num_sites = 1, .step_synchronous = true});
-  es.eng.Run(w);
+  EngineWswor es(config, EngineConfig{.num_sites = 1});
+  es.eng.Run(w, NoOp);
   es.eng.Flush();
 
   ExpectSameSample(sim_sampler.Sample(), es.coordinator->Sample());
@@ -244,17 +244,17 @@ TEST(EngineEquivalenceTest, StepSyncNaiveMatchesSim) {
   NaiveDistributedWswor sim_sampler(k, s, /*seed=*/77);
   sim_sampler.Run(w);
 
-  Engine eng(EngineConfig{.num_sites = k, .step_synchronous = true});
-  Rng master(77);
-  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
-  for (int i = 0; i < k; ++i) {
-    sites.push_back(std::make_unique<NaiveWsworSite>(s, i, &eng.transport(),
-                                                     master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  NaiveWsworCoordinator coordinator(s);
-  eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  Engine eng(EngineConfig{.num_sites = k});
+  const auto endpoints = sim::Deploy(
+      eng, /*seed=*/77,
+      [&](int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<NaiveWsworSite>(s, i, transport, seed);
+      },
+      [&](sim::Transport*, uint64_t) {
+        return std::make_unique<NaiveWsworCoordinator>(s);
+      });
+  const NaiveWsworCoordinator& coordinator = *endpoints.coordinator;
+  eng.Run(w, NoOp);
 
   ExpectSameSample(sim_sampler.Sample(), coordinator.Sample());
   ExpectSameStats(sim_sampler.stats(), eng.stats().MessageSnapshot());
@@ -273,17 +273,17 @@ TEST(EngineEquivalenceTest, StepSyncUnweightedSubstrateMatchesSim) {
   DistributedUnweightedSwor sim_sampler(config);
   sim_sampler.Run(w);
 
-  Engine eng(EngineConfig{.num_sites = 3, .step_synchronous = true});
-  Rng master(config.seed);
-  std::vector<std::unique_ptr<UsworSite>> sites;
-  for (int i = 0; i < 3; ++i) {
-    sites.push_back(std::make_unique<UsworSite>(config, i, &eng.transport(),
-                                                master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  UsworCoordinator coordinator(config, &eng.transport());
-  eng.AttachCoordinator(&coordinator);
-  eng.Run(w);
+  Engine eng(EngineConfig{.num_sites = 3});
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<UsworSite>(config, i, transport, seed);
+      },
+      [&](sim::Transport* transport, uint64_t) {
+        return std::make_unique<UsworCoordinator>(config, transport);
+      });
+  const UsworCoordinator& coordinator = *endpoints.coordinator;
+  eng.Run(w, NoOp);
 
   const std::vector<Item> a = sim_sampler.Sample();
   const std::vector<Item> b = coordinator.Sample();
@@ -444,9 +444,8 @@ TEST(EngineMessageCostTest, WasteIsZeroExactlyWhenControlIsSynchronous) {
   sim_sampler.Run(w);
   EXPECT_EQ(sim_sampler.coordinator().wasted_messages(), 0u);
 
-  EngineWswor es(config,
-                 EngineConfig{.num_sites = 4, .step_synchronous = true});
-  es.eng.Run(w);
+  EngineWswor es(config, EngineConfig{.num_sites = 4});
+  es.eng.Run(w, NoOp);
   EXPECT_EQ(es.coordinator->wasted_messages(), 0u);
   EXPECT_EQ(es.eng.stats().wasted_messages.load(), 0u);
 
@@ -471,15 +470,15 @@ TEST(EngineMessageCostTest, UnweightedWasteCountsLateThresholdSends) {
                          .Build();
   for (const int delay : {0, 8}) {
     sim::Runtime runtime(config.num_sites, delay);
-    Rng master(config.seed);
-    std::vector<std::unique_ptr<UsworSite>> sites;
-    for (int i = 0; i < config.num_sites; ++i) {
-      sites.push_back(std::make_unique<UsworSite>(
-          config, i, &runtime.network(), master.NextU64()));
-      runtime.AttachSite(i, sites.back().get());
-    }
-    UsworCoordinator coordinator(config, &runtime.network());
-    runtime.AttachCoordinator(&coordinator);
+    const auto endpoints = sim::Deploy(
+        runtime, config.seed,
+        [&](int i, sim::Transport* transport, uint64_t seed) {
+          return std::make_unique<UsworSite>(config, i, transport, seed);
+        },
+        [&](sim::Transport* transport, uint64_t) {
+          return std::make_unique<UsworCoordinator>(config, transport);
+        });
+    const UsworCoordinator& coordinator = *endpoints.coordinator;
     runtime.Run(w);
     runtime.Flush();
     if (delay == 0) {
@@ -496,15 +495,14 @@ TEST(EngineMessageCostTest, WastelessRunQuiescesLogarithmically) {
   const int k = 4, s = 8;
   const uint64_t n = 60000;
   Engine eng(EngineConfig{.num_sites = k});
-  Rng master(23);
-  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
-  for (int i = 0; i < k; ++i) {
-    sites.push_back(std::make_unique<NaiveWsworSite>(s, i, &eng.transport(),
-                                                     master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  NaiveWsworCoordinator coordinator(s);
-  eng.AttachCoordinator(&coordinator);
+  const auto endpoints = sim::Deploy(
+      eng, /*seed=*/23,
+      [&](int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<NaiveWsworSite>(s, i, transport, seed);
+      },
+      [&](sim::Transport*, uint64_t) {
+        return std::make_unique<NaiveWsworCoordinator>(s);
+      });
   eng.Run(ZipfWorkload(k, n, /*seed=*/29));
   EXPECT_EQ(eng.stats().wasted_messages.load(), 0u);
   const uint64_t ceil_log2_n =
@@ -515,9 +513,8 @@ TEST(EngineMessageCostTest, WastelessRunQuiescesLogarithmically) {
 TEST(EngineMessageCostTest, StepSynchronousRunQuiescesEveryEvent) {
   const WsworConfig config{.num_sites = 3, .sample_size = 8, .seed = 31};
   const uint64_t n = 2000;
-  EngineWswor es(config,
-                 EngineConfig{.num_sites = 3, .step_synchronous = true});
-  es.eng.Run(ZipfWorkload(3, n, /*seed=*/37));
+  EngineWswor es(config, EngineConfig{.num_sites = 3});
+  es.eng.Run(ZipfWorkload(3, n, /*seed=*/37), NoOp);
   EXPECT_EQ(es.eng.stats().quiesces.load(), n + 1);
 }
 

@@ -31,6 +31,7 @@
 #include "l1/sqrtk_l1.h"
 #include "random/rng.h"
 #include "sampling/keyed_item.h"
+#include "sim/deployment.h"
 #include "sim/message.h"
 #include "sim/node.h"
 #include "stream/generators.h"
@@ -367,17 +368,17 @@ TEST(SpanApiTest, DefaultOnItemsLoopsOverOnItem) {
 // and the site hot-path counters surface through engine::Stats.
 TEST(EngineHotPathTest, RecyclesBatchBuffersAndSurfacesCounters) {
   const WsworConfig config{.num_sites = 2, .sample_size = 8, .seed = 21};
-  std::vector<std::unique_ptr<WsworSite>> sites;
   engine::Engine eng(engine::EngineConfig{
       .num_sites = 2, .batch_size = 64, .item_queue_batches = 4});
-  Rng master(config.seed);
-  for (int i = 0; i < 2; ++i) {
-    sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
-  eng.AttachCoordinator(&coordinator);
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworSite>(config, i, transport, seed);
+      },
+      [&](sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworCoordinator>(config, transport, seed);
+      });
+  const auto& sites = endpoints.sites;
 
   const std::vector<Item> items = ZipfItems(20000, /*seed=*/22);
   Rng partition(5);
@@ -410,14 +411,17 @@ TEST(EngineHotPathTest, SpanPushMatchesPerItemPush) {
   const std::vector<Item> items = ZipfItems(3000, /*seed=*/32);
 
   const auto run = [&](bool span_push) {
-    std::vector<std::unique_ptr<NaiveWsworSite>> sites;
     engine::Engine eng(engine::EngineConfig{.num_sites = 1, .batch_size = 32});
-    Rng master(31);
-    sites.push_back(std::make_unique<NaiveWsworSite>(
-        /*sample_size=*/8, 0, &eng.transport(), master.NextU64()));
-    eng.AttachSite(0, sites.back().get());
-    NaiveWsworCoordinator coordinator(/*sample_size=*/8);
-    eng.AttachCoordinator(&coordinator);
+    const auto endpoints = sim::Deploy(
+        eng, /*seed=*/31,
+        [](int i, sim::Transport* transport, uint64_t seed) {
+          return std::make_unique<NaiveWsworSite>(/*sample_size=*/8, i,
+                                                  transport, seed);
+        },
+        [](sim::Transport*, uint64_t) {
+          return std::make_unique<NaiveWsworCoordinator>(/*sample_size=*/8);
+        });
+    const NaiveWsworCoordinator& coordinator = *endpoints.coordinator;
     if (span_push) {
       eng.Push(0, items.data(), items.size());
     } else {

@@ -33,6 +33,7 @@
 #include "query/query_service.h"
 #include "core/sampler.h"
 #include "random/rng.h"
+#include "sim/deployment.h"
 #include "stream/workload.h"
 #include "test_util.h"
 
@@ -130,18 +131,16 @@ TEST(SchemaTest, MessageStatsSnapshotIsBitEqual) {
 
 TEST(SchemaTest, EngineStatsSnapshotIsBitEqualAtQuiesce) {
   const WsworConfig config{.num_sites = 4, .sample_size = 8, .seed = 11};
-  Rng master(config.seed);
-  std::vector<std::unique_ptr<WsworSite>> sites;
-  std::unique_ptr<WsworCoordinator> coordinator;
   Engine eng(EngineConfig{.num_sites = 4});
-  for (int i = 0; i < config.num_sites; ++i) {
-    sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  coordinator = std::make_unique<WsworCoordinator>(config, &eng.transport(),
-                                                   master.NextU64());
-  eng.AttachCoordinator(coordinator.get());
+  const auto endpoints = sim::Deploy(
+      eng, config.seed,
+      [&](int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworSite>(config, i, transport, seed);
+      },
+      [&](sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworCoordinator>(config, transport, seed);
+      });
+  const auto& coordinator = endpoints.coordinator;
   eng.Run(UniformWorkload(4, 30000, /*seed=*/13));  // ends quiescent
 
   const engine::EngineStats& stats = eng.stats();

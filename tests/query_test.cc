@@ -31,6 +31,7 @@
 #include "query/query_service.h"
 #include "query/snapshot.h"
 #include "random/rng.h"
+#include "sim/deployment.h"
 #include "sim/sharded_runtime.h"
 #include "stream/workload.h"
 #include "test_util.h"
@@ -838,10 +839,12 @@ TEST(LiveQueryStressTest, ConcurrentReadersDuringIngestion) {
     for (int r = 0; r < kReaders; ++r) {
       states.push_back(std::make_unique<RefereeState>(shards));
       RefereeState* st = states.back().get();
+      // do-while: a reader first scheduled after the run still makes its
+      // referee pass, so reads > 0 below cannot fail on thread start-up.
       readers.emplace_back([&service, &stop, st, s = size_t{s}] {
-        while (!stop.load(std::memory_order_acquire)) {
+        do {
           Referee(service.Query(), s, n, /*expect_clean=*/true, *st);
-        }
+        } while (!stop.load(std::memory_order_acquire));
       });
     }
 
@@ -1208,8 +1211,6 @@ TEST(LiveQueryL1Test, L1EstimateMatchesShardedEstimateExactly) {
                          .Build();
 
   sim::ShardedRuntime runtime(k, shards);
-  std::vector<std::unique_ptr<L1Site>> sites;
-  std::vector<std::unique_ptr<WsworCoordinator>> coords;
   std::vector<L1TrackerConfig> shard_configs;
   for (int j = 0; j < shards; ++j) {
     L1TrackerConfig shard_config = config;
@@ -1217,20 +1218,18 @@ TEST(LiveQueryL1Test, L1EstimateMatchesShardedEstimateExactly) {
     shard_config.seed = ShardSeed(config.seed, j);
     shard_configs.push_back(shard_config);
   }
-  Rng master(config.seed);
-  for (int i = 0; i < k; ++i) {
-    const int j = topo.ShardOf(i);
-    sites.push_back(std::make_unique<L1Site>(
-        shard_configs[static_cast<size_t>(j)], topo.LocalOf(i),
-        &runtime.shard_network(j), master.NextU64()));
-    runtime.AttachSite(i, sites.back().get());
-  }
-  for (int j = 0; j < shards; ++j) {
-    coords.push_back(std::make_unique<WsworCoordinator>(
-        L1CoordinatorConfig(shard_configs[static_cast<size_t>(j)]),
-        &runtime.shard_network(j), master.NextU64()));
-    runtime.AttachShardCoordinator(j, coords.back().get());
-  }
+  const auto endpoints = sim::DeploySharded(
+      runtime, config.seed,
+      [&](int j, int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<L1Site>(shard_configs[static_cast<size_t>(j)],
+                                        i, transport, seed);
+      },
+      [&](int j, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworCoordinator>(
+            L1CoordinatorConfig(shard_configs[static_cast<size_t>(j)]),
+            transport, seed);
+      });
+  const auto& coords = endpoints.coordinators;
   runtime.Run(w);
 
   LiveShardPublishers publishers(shards);

@@ -3,14 +3,17 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "faults/harness.h"
 #include "random/distributions.h"
 #include "random/exponential_order_stats.h"
 #include "random/geometric_skip.h"
 #include "random/lazy_exponential.h"
 #include "random/rng.h"
+#include "sim/network.h"
 #include "stats/chi_square.h"
 #include "stats/ks_test.h"
 #include "stats/summary.h"
+#include "stream/sharding.h"
 
 namespace dwrs {
 namespace {
@@ -33,6 +36,32 @@ TEST(RngTest, ForkProducesIndependentStream) {
   int equal = 0;
   for (int i = 0; i < 64; ++i) equal += (a.NextU64() == b.NextU64());
   EXPECT_LT(equal, 2);
+}
+
+// The seed mixes built on SplitMix64, pinned to their recorded values:
+// the sim and engine sides of every replay test share them, so a changed
+// mix would otherwise pass unnoticed.
+TEST(SplitMix64Test, DerivedSeedsAndJitterArePinned) {
+  EXPECT_EQ(ShardSeed(0, 0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(ShardSeed(1, 1), 0xBEEB8DA1658EEC67ull);
+  EXPECT_EQ(ShardSeed(42, 3), 0x581CE1FF0E4AE394ull);
+  EXPECT_EQ(ShardSeed(0xDEADBEEFCAFEF00Dull, 1), 0xA7CE246440F74527ull);
+  EXPECT_EQ(faults::RestartSeed(7, 0), 7u);
+  EXPECT_EQ(faults::RestartSeed(0, 1), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(faults::RestartSeed(7, 2), 0x044C3CD7F43C661Cull);
+  EXPECT_EQ(faults::RestartSeed(7, 9), 0x225EC07A99506761ull);
+  EXPECT_EQ(faults::RestartSeed(0xDEADBEEFCAFEF00Dull, 9),
+            0x5047E69E4524A085ull);
+
+  // The first draw on each of the 16 channels of a k = 8 network is the
+  // jitter delay itself (no FIFO floor yet).
+  sim::Network network(/*num_sites=*/8, /*delivery_delay=*/1000,
+                       /*jitter_seed=*/99);
+  const uint64_t expected[16] = {800, 556, 693, 355, 794, 253, 474, 622,
+                                 998, 552, 654, 161, 374, 140, 655, 656};
+  for (size_t channel = 0; channel < 16; ++channel) {
+    EXPECT_EQ(network.NextDueStep(channel), expected[channel]) << channel;
+  }
 }
 
 TEST(RngTest, NextDoubleRange) {

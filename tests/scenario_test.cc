@@ -19,6 +19,7 @@
 #include "faults/harness.h"
 #include "gtest/gtest.h"
 #include "sampling/mergeable_sample.h"
+#include "sim/deployment.h"
 #include "stats/chi_square.h"
 #include "stream/scenario.h"
 #include "stream/sharding.h"
@@ -291,20 +292,19 @@ TEST(ScenarioEngineTest, EveryScenarioReplaysBitIdenticallyOnEngine) {
 
     engine::EngineConfig engine_config;
     engine_config.num_sites = s.num_sites;
-    engine_config.step_synchronous = true;
     engine::Engine eng(engine_config);
-    // The facade's exact seed derivation: one master draw per site in
-    // index order, then the coordinator's.
-    Rng master(config.seed);
-    std::vector<std::unique_ptr<WsworSite>> sites;
-    for (int i = 0; i < config.num_sites; ++i) {
-      sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                  master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    WsworCoordinator coordinator(config, &eng.transport(), master.NextU64());
-    eng.AttachCoordinator(&coordinator);
-    eng.Run(w);
+    // Built like the facade, through sim::Deploy.
+    const auto endpoints = sim::Deploy(
+        eng, config.seed,
+        [&](int i, sim::Transport* transport, uint64_t site_seed) {
+          return std::make_unique<WsworSite>(config, i, transport, site_seed);
+        },
+        [&](sim::Transport* transport, uint64_t coordinator_seed) {
+          return std::make_unique<WsworCoordinator>(config, transport,
+                                                    coordinator_seed);
+        });
+    const WsworCoordinator& coordinator = *endpoints.coordinator;
+    eng.Run(w, [](uint64_t) {});  // a hook makes the run step-synchronous
 
     EXPECT_TRUE(SameKeyedSample(sim_sampler.Sample(), coordinator.Sample()))
         << s.name;

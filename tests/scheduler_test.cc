@@ -26,6 +26,7 @@
 #include "engine/scheduler.h"
 #include "obs/trace.h"
 #include "random/rng.h"
+#include "sim/deployment.h"
 #include "stream/workload.h"
 
 namespace dwrs {
@@ -105,22 +106,22 @@ void SpinUntil(const std::function<bool()>& pred) {
 
 struct EngineWswor {
   EngineWswor(const WsworConfig& config, const EngineConfig& engine_config)
-      : eng(engine_config) {
-    Rng master(config.seed);
-    for (int i = 0; i < config.num_sites; ++i) {
-      sites.push_back(std::make_unique<WsworSite>(config, i, &eng.transport(),
-                                                  master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    coordinator = std::make_unique<WsworCoordinator>(config, &eng.transport(),
-                                                     master.NextU64());
-    eng.AttachCoordinator(coordinator.get());
-  }
-  // Endpoints declared before the engine: destruction joins the pool
-  // first (see the teardown contract in engine/engine.h).
-  std::vector<std::unique_ptr<WsworSite>> sites;
-  std::unique_ptr<WsworCoordinator> coordinator;
+      : eng(engine_config),
+        endpoints(sim::Deploy(
+            eng, config.seed,
+            [&](int i, sim::Transport* transport, uint64_t seed) {
+              return std::make_unique<WsworSite>(config, i, transport, seed);
+            },
+            [&](sim::Transport* transport, uint64_t seed) {
+              return std::make_unique<WsworCoordinator>(config, transport,
+                                                        seed);
+            })),
+        coordinator(endpoints.coordinator.get()) {}
   Engine eng;
+  // Shuts the pool down before any endpoint dies (see the teardown
+  // contract in engine/engine.h).
+  sim::Deployment<WsworSite, WsworCoordinator> endpoints;
+  WsworCoordinator* coordinator;
 };
 
 void ExpectStepSyncMatchesSim(int k, uint64_t n, const EngineConfig& config) {
@@ -138,7 +139,7 @@ void ExpectStepSyncMatchesSim(int k, uint64_t n, const EngineConfig& config) {
   sim_sampler.Run(w);
 
   EngineWswor es(wswor, config);
-  es.eng.Run(w);
+  es.eng.Run(w, [](uint64_t) {});  // a hook makes the run step-synchronous
 
   const std::vector<KeyedItem> a = sim_sampler.Sample();
   const std::vector<KeyedItem> b = es.coordinator->Sample();
@@ -157,7 +158,7 @@ void ExpectStepSyncMatchesSim(int k, uint64_t n, const EngineConfig& config) {
 TEST(SchedulerEquivalenceTest, StepSyncMatchesSimAtSmallK) {
   ExpectStepSyncMatchesSim(
       /*k=*/16, /*n=*/2000,
-      EngineConfig{.num_sites = 16, .step_synchronous = true});
+      EngineConfig{.num_sites = 16});
 }
 
 TEST(SchedulerEquivalenceTest, StepSyncMatchesSimAtKPastPoolSize) {
@@ -166,16 +167,14 @@ TEST(SchedulerEquivalenceTest, StepSyncMatchesSimAtKPastPoolSize) {
   // must still be bit-identical.
   ExpectStepSyncMatchesSim(
       /*k=*/1000, /*n=*/3000,
-      EngineConfig{.num_sites = 1000, .step_synchronous = true});
+      EngineConfig{.num_sites = 1000});
 }
 
 TEST(SchedulerEquivalenceTest, StepSyncMatchesSimWithTinyForcedPool) {
   // Two workers for 16 sites, stealing on: maximal consumer-role
   // migration between dispatches.
   ExpectStepSyncMatchesSim(/*k=*/16, /*n=*/2000,
-                           EngineConfig{.num_sites = 16,
-                                        .num_workers = 2,
-                                        .step_synchronous = true});
+                           EngineConfig{.num_sites = 16, .num_workers = 2});
 }
 
 // ---------------------------------------------------------------------
@@ -324,16 +323,16 @@ struct CallerRunsResult {
 
 CallerRunsResult RunNaiveStepSync(const Workload& w, int s, uint64_t seed) {
   const int k = w.num_sites();
-  Rng master(seed);
-  std::vector<std::unique_ptr<NaiveWsworSite>> sites;
-  NaiveWsworCoordinator coordinator(s);
   Engine eng(EngineConfig{.num_sites = k, .num_workers = 2});
-  for (int i = 0; i < k; ++i) {
-    sites.push_back(std::make_unique<NaiveWsworSite>(s, i, &eng.transport(),
-                                                     master.NextU64()));
-    eng.AttachSite(i, sites.back().get());
-  }
-  eng.AttachCoordinator(&coordinator);
+  const auto endpoints = sim::Deploy(
+      eng, seed,
+      [&](int i, sim::Transport* transport, uint64_t site_seed) {
+        return std::make_unique<NaiveWsworSite>(s, i, transport, site_seed);
+      },
+      [&](sim::Transport*, uint64_t) {
+        return std::make_unique<NaiveWsworCoordinator>(s);
+      });
+  const NaiveWsworCoordinator& coordinator = *endpoints.coordinator;
 
   const EngineStats& stats = eng.stats();
   uint64_t dispatches_at_step1 = 0;
@@ -431,23 +430,22 @@ TEST(CallerRunsTest, PassEndFlushRacesWorkersForQueuedSites) {
     const WsworConfig wswor{.num_sites = k,
                             .sample_size = 8,
                             .seed = 100 + static_cast<uint64_t>(trial)};
-    std::vector<std::unique_ptr<CountedWsworSite>> sites;
-    std::unique_ptr<WsworCoordinator> coordinator;
     Engine eng(EngineConfig{.num_sites = k,
                             .num_workers = 2,
                             .batch_size = 8,
                             .item_queue_batches = 2,
                             .message_queue_capacity = 4,
                             .control_poll_stride = 4});
-    Rng master(wswor.seed);
-    for (int i = 0; i < k; ++i) {
-      sites.push_back(std::make_unique<CountedWsworSite>(
-          wswor, i, &eng.transport(), master.NextU64()));
-      eng.AttachSite(i, sites.back().get());
-    }
-    coordinator = std::make_unique<WsworCoordinator>(wswor, &eng.transport(),
-                                                     master.NextU64());
-    eng.AttachCoordinator(coordinator.get());
+    const auto endpoints = sim::Deploy(
+        eng, wswor.seed,
+        [&](int i, sim::Transport* transport, uint64_t seed) {
+          return std::make_unique<CountedWsworSite>(wswor, i, transport, seed);
+        },
+        [&](sim::Transport* transport, uint64_t seed) {
+          return std::make_unique<WsworCoordinator>(wswor, transport, seed);
+        });
+    const auto& sites = endpoints.sites;
+    const auto& coordinator = endpoints.coordinator;
 
     Rng partition(7 + static_cast<uint64_t>(trial));
     for (uint64_t i = 0; i < kItems; ++i) {

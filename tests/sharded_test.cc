@@ -21,6 +21,7 @@
 #include "l1/l1_tracker.h"
 #include "random/rng.h"
 #include "sampling/mergeable_sample.h"
+#include "sim/deployment.h"
 #include "sim/sharded_runtime.h"
 #include "stream/sharding.h"
 #include "stream/workload.h"
@@ -323,9 +324,6 @@ TEST(ShardedDistributionTest, UnweightedMinKeyMergeChiSquare) {
   const auto result = testing::SworSetGoodnessOfFit(
       weights, s, trials, [&](int t) {
         sim::ShardedRuntime runtime(k, shards);
-        std::vector<std::unique_ptr<UsworSite>> sites;
-        std::vector<std::unique_ptr<UsworCoordinator>> coords;
-        Rng master(40000 + static_cast<uint64_t>(t));
         std::vector<UsworConfig> shard_configs;
         for (int j = 0; j < shards; ++j) {
           UsworConfig config;
@@ -333,19 +331,16 @@ TEST(ShardedDistributionTest, UnweightedMinKeyMergeChiSquare) {
           config.sample_size = s;
           shard_configs.push_back(config);
         }
-        for (int i = 0; i < k; ++i) {
-          const int j = topo.ShardOf(i);
-          sites.push_back(std::make_unique<UsworSite>(
-              shard_configs[static_cast<size_t>(j)], topo.LocalOf(i),
-              &runtime.shard_network(j), master.NextU64()));
-          runtime.AttachSite(i, sites.back().get());
-        }
-        for (int j = 0; j < shards; ++j) {
-          coords.push_back(std::make_unique<UsworCoordinator>(
-              shard_configs[static_cast<size_t>(j)],
-              &runtime.shard_network(j)));
-          runtime.AttachShardCoordinator(j, coords.back().get());
-        }
+        const auto endpoints = sim::DeploySharded(
+            runtime, 40000 + static_cast<uint64_t>(t),
+            [&](int j, int i, sim::Transport* transport, uint64_t seed) {
+              return std::make_unique<UsworSite>(
+                  shard_configs[static_cast<size_t>(j)], i, transport, seed);
+            },
+            [&](int j, sim::Transport* transport, uint64_t) {
+              return std::make_unique<UsworCoordinator>(
+                  shard_configs[static_cast<size_t>(j)], transport);
+            });
         runtime.Run(SmallWeighted(weights, k,
                                   /*seed=*/555 + static_cast<uint64_t>(t)));
         std::vector<uint64_t> ids;
@@ -366,24 +361,18 @@ TEST(ShardedDistributionTest, SwrSlotMergeRaceWinnerIsWeightedDraw) {
   const auto result = testing::WeightedDrawGoodnessOfFit(
       weights, trials, [&](int t) {
         sim::ShardedRuntime runtime(k, shards);
-        std::vector<std::unique_ptr<SlottedSwrSite>> sites;
-        std::vector<std::unique_ptr<SlottedSwrCoordinator>> coords;
-        Rng master(60000 + static_cast<uint64_t>(t));
         SlottedSwrConfig config;
         config.num_sites = 1;  // per shard
         config.sample_size = s;
-        for (int i = 0; i < k; ++i) {
-          const int j = topo.ShardOf(i);
-          sites.push_back(std::make_unique<SlottedSwrSite>(
-              config, topo.LocalOf(i), &runtime.shard_network(j),
-              master.NextU64()));
-          runtime.AttachSite(i, sites.back().get());
-        }
-        for (int j = 0; j < shards; ++j) {
-          coords.push_back(std::make_unique<SlottedSwrCoordinator>(
-              config, &runtime.shard_network(j)));
-          runtime.AttachShardCoordinator(j, coords.back().get());
-        }
+        const auto endpoints = sim::DeploySharded(
+            runtime, 60000 + static_cast<uint64_t>(t),
+            [&](int, int i, sim::Transport* transport, uint64_t seed) {
+              return std::make_unique<SlottedSwrSite>(config, i, transport,
+                                                      seed);
+            },
+            [&](int, sim::Transport* transport, uint64_t) {
+              return std::make_unique<SlottedSwrCoordinator>(config, transport);
+            });
         runtime.Run(SmallWeighted(weights, k,
                                   /*seed=*/888 + static_cast<uint64_t>(t)));
         const MergeableSample merged = runtime.MergedSample();
@@ -410,10 +399,9 @@ TEST(ShardedEquivalenceTest, EngineStepSyncMatchesShardedRuntime) {
   ShardedEngineConfig engine_config;
   engine_config.num_sites = 4;
   engine_config.num_shards = shards;
-  engine_config.shard.step_synchronous = true;
   ShardedEngine eng(engine_config);
   const ShardedWsworEndpoints endpoints = AttachShardedWswor(config, eng);
-  eng.Run(w);
+  eng.Run(w, [](uint64_t) {});  // a hook makes the run step-synchronous
 
   const std::vector<KeyedItem> a = sim_sampler.Sample();
   const std::vector<KeyedItem> b = eng.MergedSample().TopEntries();
@@ -430,6 +418,62 @@ TEST(ShardedEquivalenceTest, EngineStepSyncMatchesShardedRuntime) {
     EXPECT_EQ(sa.words, sb.words) << " shard " << j;
   }
   eng.Shutdown();
+}
+
+std::vector<uint64_t> Ids(const std::vector<KeyedItem>& sample) {
+  std::vector<uint64_t> ids;
+  for (const KeyedItem& ki : sample) ids.push_back(ki.item.id);
+  return ids;
+}
+
+std::vector<uint64_t> Ids(const std::vector<Item>& sample) {
+  std::vector<uint64_t> ids;
+  for (const Item& item : sample) ids.push_back(item.id);
+  return ids;
+}
+
+// Every builder draws its seeds through sim::DeriveDeploymentSeeds, so
+// at zero faults every stack of one protocol returns the same sample.
+TEST(ShardedEquivalenceTest, EveryBuilderReturnsTheSameSample) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const Workload w = ZipfWorkload(4, 2000, /*seed=*/100 + seed);
+    const WsworConfig config{.num_sites = 4, .sample_size = 8, .seed = seed};
+    DistributedWswor facade(config);
+    facade.Run(w);
+    const std::vector<uint64_t> expected = Ids(facade.Sample());
+
+    ShardedWswor sharded(config, /*num_shards=*/1);
+    sharded.Run(w);
+    EXPECT_EQ(Ids(sharded.Sample()), expected) << " seed " << seed;
+    for (const Backend backend : {Backend::kSim, Backend::kEngine}) {
+      faults::FaultyWswor faulty(config, FaultConfig{}, backend);
+      faulty.Run(w);
+      EXPECT_EQ(faulty.SampleIds(), expected) << " seed " << seed;
+    }
+    engine::Engine eng(engine::EngineConfig{.num_sites = 4});
+    const auto endpoints = sim::Deploy(
+        eng, config.seed,
+        [&](int i, sim::Transport* transport, uint64_t site_seed) {
+          return std::make_unique<WsworSite>(config, i, transport, site_seed);
+        },
+        [&](sim::Transport* transport, uint64_t coordinator_seed) {
+          return std::make_unique<WsworCoordinator>(config, transport,
+                                                    coordinator_seed);
+        });
+    eng.Run(w, [](uint64_t) {});
+    EXPECT_EQ(Ids(endpoints.coordinator->Sample()), expected)
+        << " seed " << seed;
+
+    const UsworConfig uconfig{.num_sites = 4, .sample_size = 8, .seed = seed};
+    DistributedUnweightedSwor ufacade(uconfig);
+    ufacade.Run(w);
+    for (const Backend backend : {Backend::kSim, Backend::kEngine}) {
+      faults::FaultyUswor ufaulty(uconfig, FaultConfig{}, backend);
+      ufaulty.Run(w);
+      EXPECT_EQ(ufaulty.SampleIds(), Ids(ufacade.Sample()))
+          << " seed " << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -556,10 +600,9 @@ TEST(ShardedMessageCostTest, StepSynchronousRunWastesNothing) {
   ShardedEngineConfig engine_config;
   engine_config.num_sites = 4;
   engine_config.num_shards = 2;
-  engine_config.shard.step_synchronous = true;
   ShardedEngine eng(engine_config);
   const ShardedWsworEndpoints endpoints = AttachShardedWswor(config, eng);
-  eng.Run(ZipfWorkload(4, 5000, /*seed=*/47));
+  eng.Run(ZipfWorkload(4, 5000, /*seed=*/47), [](uint64_t) {});
   EXPECT_EQ(eng.WastedMessages(), 0u);
   eng.Shutdown();
 }
@@ -650,8 +693,6 @@ TEST(ShardedL1Test, SummedShardEstimatesTrackTotalWeight) {
                          .Build();
 
   sim::ShardedRuntime runtime(k, shards);
-  std::vector<std::unique_ptr<L1Site>> sites;
-  std::vector<std::unique_ptr<WsworCoordinator>> coords;
   std::vector<L1TrackerConfig> shard_configs;
   for (int j = 0; j < shards; ++j) {
     L1TrackerConfig shard_config = config;
@@ -659,20 +700,18 @@ TEST(ShardedL1Test, SummedShardEstimatesTrackTotalWeight) {
     shard_config.seed = ShardSeed(config.seed, j);
     shard_configs.push_back(shard_config);
   }
-  Rng master(config.seed);
-  for (int i = 0; i < k; ++i) {
-    const int j = topo.ShardOf(i);
-    sites.push_back(std::make_unique<L1Site>(
-        shard_configs[static_cast<size_t>(j)], topo.LocalOf(i),
-        &runtime.shard_network(j), master.NextU64()));
-    runtime.AttachSite(i, sites.back().get());
-  }
-  for (int j = 0; j < shards; ++j) {
-    coords.push_back(std::make_unique<WsworCoordinator>(
-        L1CoordinatorConfig(shard_configs[static_cast<size_t>(j)]),
-        &runtime.shard_network(j), master.NextU64()));
-    runtime.AttachShardCoordinator(j, coords.back().get());
-  }
+  const auto endpoints = sim::DeploySharded(
+      runtime, config.seed,
+      [&](int j, int i, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<L1Site>(shard_configs[static_cast<size_t>(j)],
+                                        i, transport, seed);
+      },
+      [&](int j, sim::Transport* transport, uint64_t seed) {
+        return std::make_unique<WsworCoordinator>(
+            L1CoordinatorConfig(shard_configs[static_cast<size_t>(j)]),
+            transport, seed);
+      });
+  const auto& coords = endpoints.coordinators;
   runtime.Run(w);
 
   std::vector<const WsworCoordinator*> coordinator_ptrs;
