@@ -2,13 +2,6 @@
 
 namespace dwrs {
 
-WsworConfig ShardWsworConfig(const WsworConfig& config,
-                             const ShardTopology& topology, int shard) {
-  WsworConfig out = config;
-  out.num_sites = topology.SiteCount(shard);
-  return out;
-}
-
 ShardedWswor::ShardedWswor(const WsworConfig& config, int num_shards)
     : runtime_(config.num_sites, num_shards, config.delivery_delay,
                config.jitter_seed) {

@@ -30,12 +30,6 @@
 
 namespace dwrs {
 
-// The protocol config shard `shard` runs: the global config with
-// num_sites narrowed to the shard's block (the paper's k becomes the
-// shard's site count, so epoch/level bases resolve per shard).
-WsworConfig ShardWsworConfig(const WsworConfig& config,
-                             const ShardTopology& topology, int shard);
-
 // The constructed endpoint set of a sharded weighted SWOR deployment,
 // owned by the caller (sites in global index order, one coordinator per
 // shard). Declared after an engine::ShardedEngine backend, it shuts the
@@ -55,11 +49,11 @@ ShardedWsworEndpoints AttachShardedWswor(const WsworConfig& config,
       backend, config.seed,
       [&](int shard, int i, sim::Transport* transport, uint64_t seed) {
         return std::make_unique<WsworSite>(
-            ShardWsworConfig(config, topo, shard), i, transport, seed);
+            ShardConfig(config, topo, shard), i, transport, seed);
       },
       [&](int shard, sim::Transport* transport, uint64_t seed) {
         return std::make_unique<WsworCoordinator>(
-            ShardWsworConfig(config, topo, shard), transport, seed);
+            ShardConfig(config, topo, shard), transport, seed);
       });
 }
 

@@ -12,9 +12,11 @@
 // filters, and the fault transport's channel counters (which keep a
 // recovered run on the same fault-schedule coordinates).
 //
-// File format: "DCKP" magic | u8 version | u32 CRC32(body) | body. A
-// CRC mismatch or truncation fails the load; LoadLatestCheckpoint then
-// falls back to the previous generation.
+// File format: "DCKP" magic | u8 version | u32 CRC32(body) | body, the
+// body one field walk (checkpoint.cc). A CRC mismatch, truncation, or a
+// body the encoder would not write (a field out of range, site tables
+// that disagree) fails the load; LoadLatestCheckpoint then falls back to
+// the previous generation.
 //
 // Persistence runs off the step path: the owner captures and encodes a
 // checkpoint at a step boundary and hands the bytes to a

@@ -107,11 +107,13 @@ void DurableCoordinator::OnMessage(int site, const sim::Payload& msg) {
 DurableWswor::DurableWswor(const WsworConfig& config,
                            const faults::FaultConfig& fault_config,
                            faults::Backend backend,
-                           const DurabilityOptions& options, int trace_shard)
+                           const DurabilityOptions& options, int shard,
+                           int num_shards)
     : config_(config),
       options_(options),
       backend_(backend),
-      trace_shard_(trace_shard),
+      shard_(shard),
+      num_shards_(num_shards),
       schedule_(fault_config),
       checkpoint_writer_(options.dir) {
   DWRS_CHECK(!options_.dir.empty()) << " durability dir is required";
@@ -129,7 +131,7 @@ void DurableWswor::BuildStack() {
   // kills is bit-identical to a FaultyRun — with the write-ahead
   // decorator as the backend's coordinator.
   stack_ = std::make_unique<faults::FaultyWswor>(
-      config_, schedule_.config(), backend_, trace_shard_,
+      config_, schedule_.config(), backend_, shard_, num_shards_,
       [this](WsworCoordinator& coordinator,
              faults::CoordinatorSession& session) {
         durable_coordinator_ =
@@ -219,18 +221,17 @@ void DurableWswor::RestoreFromCheckpoint(const ShardCheckpoint& c) {
       << " checkpoint site count mismatch";
   stack_->coordinator().RestoreState(c.coordinator);
   stack_->coordinator_session().RestoreState(c.session);
+  // DecodeCheckpoint admits only site tables that agree.
   size_t valid = 0;
   for (int i = 0; i < num_sites; ++i) {
     faults::SiteSession& session = stack_->site_session(i);
     session.RestoreState(c.site_sessions[static_cast<size_t>(i)]);
     if (c.site_valid[static_cast<size_t>(i)]) {
       DWRS_CHECK(session.endpoint() != nullptr);
-      DWRS_CHECK_LT(valid, c.sites.size());
       static_cast<WsworSite*>(session.endpoint())
           ->RestoreState(c.sites[valid++]);
     }
   }
-  DWRS_CHECK_EQ(valid, c.sites.size());
   stack_->faulty_transport().RestoreState(c.transport);
 }
 
@@ -265,7 +266,7 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
     event.type = obs::EventType::kCheckpointWrite;
     event.a = checkpoint.checkpoint_seq;
     event.step = step;
-    event.shard = static_cast<int16_t>(trace_shard_);
+    event.shard = static_cast<int16_t>(shard_);
     obs::Emit(event);
   }
 }
@@ -401,7 +402,7 @@ bool DurableWswor::Recover() {
     event.type = obs::EventType::kRecoveryReplay;
     event.a = static_cast<uint64_t>(cut);
     event.step = durable_step;
-    event.shard = static_cast<int16_t>(trace_shard_);
+    event.shard = static_cast<int16_t>(shard_);
     obs::Emit(event);
   }
 
@@ -540,17 +541,17 @@ ShardedDurableWswor::ShardedDurableWswor(
     const WsworConfig& config,
     const std::vector<faults::FaultConfig>& shard_faults,
     faults::Backend backend, const DurabilityOptions& options)
-    : Sharded(config, shard_faults,
-              [&](const WsworConfig& shard_config,
-                  const faults::FaultConfig& faults, int shard) {
+    : Sharded(config.num_sites, shard_faults,
+              [&](const faults::FaultConfig& faults, int shard,
+                  int num_shards) {
                 DWRS_CHECK(!options.dir.empty() && EnsureDir(options.dir))
                     << " cannot create durability dir " << options.dir;
                 DurabilityOptions shard_options = options;
                 shard_options.dir =
                     options.dir + "/shard-" + std::to_string(shard);
                 return std::make_unique<DurableWswor>(
-                    shard_config, faults, backend, shard_options,
-                    /*trace_shard=*/shard);
+                    config, faults, backend, shard_options, shard,
+                    num_shards);
               }) {}
 
 }  // namespace dwrs::durability

@@ -201,10 +201,12 @@ class DurableWswor {
  public:
   using Config = WsworConfig;
 
+  // Shard `shard` of `num_shards`, as faults::FaultyRun builds it (the
+  // default is the unsharded stack).
   DurableWswor(const WsworConfig& config,
                const faults::FaultConfig& fault_config,
                faults::Backend backend, const DurabilityOptions& options,
-               int trace_shard = 0);
+               int shard = 0, int num_shards = 1);
   ~DurableWswor();
 
   DurableWswor(const DurableWswor&) = delete;
@@ -259,7 +261,8 @@ class DurableWswor {
   const WsworConfig config_;
   const DurabilityOptions options_;
   const faults::Backend backend_;
-  const int trace_shard_;
+  const int shard_;
+  const int num_shards_;
   // Kill oracle; its config also rebuilds the stack on every recovery.
   const faults::FaultSchedule schedule_;
 

@@ -16,31 +16,42 @@ const char* WalRecordTypeName(WalRecordType type) {
   return "unknown";
 }
 
-void AppendWalRecord(std::vector<uint8_t>* out, const WalRecord& record) {
-  out->push_back(static_cast<uint8_t>(record.type));
+namespace {
+
+// The record format: the type byte, then the active type's fields.
+template <typename IO, typename Record>
+void WalkWalRecord(IO& io, Record& record) {
+  io.Byte(record.type);
   switch (record.type) {
     case WalRecordType::kMessage:
-      sim::PutVarint(out, static_cast<uint64_t>(record.site));
-      sim::PutSizedPayload(out, record.msg);
+      io.Varint(record.site);
+      io.SizedPayload(record.msg);
       break;
     case WalRecordType::kThresholdBump:
-      sim::PutF64(out, record.threshold);
+      io.F64(record.threshold);
       break;
     case WalRecordType::kEpochChange:
-      sim::PutZigzag(out, record.epoch);
+      io.Zigzag(record.epoch);
       break;
     case WalRecordType::kSampleDelta:
-      sim::PutVarint(out, record.added.item.id);
-      sim::PutF64(out, record.added.item.weight);
-      sim::PutF64(out, record.added.key);
-      out->push_back(record.evicted_valid ? 1 : 0);
-      if (record.evicted_valid) sim::PutVarint(out, record.evicted_id);
+      WalkKeyedItem(io, record.added);
+      io.Bool(record.evicted_valid);
+      if (record.evicted_valid) io.Varint(record.evicted_id);
       break;
     case WalRecordType::kStepMark:
     case WalRecordType::kCheckpointMark:
-      sim::PutVarint(out, record.step);
+      io.Varint(record.step);
       break;
+    default:
+      io.Require(false);  // an unknown type, or no bytes at all
   }
+}
+
+}  // namespace
+
+void AppendWalRecord(std::vector<uint8_t>* out, const WalRecord& record) {
+  sim::FieldWriter io(out);
+  WalkWalRecord(io, record);
 }
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
@@ -51,33 +62,9 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
 
 std::optional<WalRecord> DecodeWalRecord(const std::vector<uint8_t>& bytes) {
   sim::ByteReader r(bytes);
+  sim::FieldReader io(r);
   WalRecord record;
-  record.type = static_cast<WalRecordType>(r.Byte());
-  switch (record.type) {
-    case WalRecordType::kMessage:
-      record.site = r.Varint<int>();
-      record.msg = r.SizedPayload();
-      break;
-    case WalRecordType::kThresholdBump:
-      record.threshold = r.F64();
-      break;
-    case WalRecordType::kEpochChange:
-      record.epoch = r.Zigzag();
-      break;
-    case WalRecordType::kSampleDelta:
-      record.added.item.id = r.Varint();
-      record.added.item.weight = r.F64();
-      record.added.key = r.F64();
-      record.evicted_valid = r.Bool();
-      if (record.evicted_valid) record.evicted_id = r.Varint();
-      break;
-    case WalRecordType::kStepMark:
-    case WalRecordType::kCheckpointMark:
-      record.step = r.Varint();
-      break;
-    default:
-      return std::nullopt;  // unknown type, or no bytes at all
-  }
+  WalkWalRecord(io, record);
   if (!r.done()) return std::nullopt;  // malformed, or trailing bytes
   return record;
 }

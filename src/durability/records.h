@@ -23,10 +23,10 @@
 //     kSampleDelta    sample membership changed: `added` entered S,
 //                     optionally evicting `evicted_id`.
 //
-// Fields are written and read with sim/codec's byte helpers (LEB128
-// varints, raw IEEE 754 little-endian doubles), the message codec's
-// conventions. Golden byte vectors for every type are pinned in
-// tests/codec_test.cc — the on-disk format is a compatibility surface.
+// The format is one field walk (records.cc) over sim/codec's field I/O
+// (LEB128 varints, raw IEEE 754 little-endian doubles). Golden byte
+// vectors for every type are pinned in tests/codec_test.cc — the on-disk
+// format is a compatibility surface.
 
 #ifndef DWRS_DURABILITY_RECORDS_H_
 #define DWRS_DURABILITY_RECORDS_H_
@@ -74,6 +74,15 @@ struct WalRecord {
   // kCheckpointMark: the checkpoint sequence.
   uint64_t step = 0;
 };
+
+// The (id, weight, key) triple a kSampleDelta record and a checkpoint's
+// samples (checkpoint.cc) both write, as a field walk (sim/codec.h).
+template <typename IO, typename Keyed>
+void WalkKeyedItem(IO& io, Keyed& e) {
+  io.Varint(e.item.id);
+  io.F64(e.item.weight);
+  io.F64(e.key);
+}
 
 // Appends the encoding of `record` to *out. The WAL writer frames
 // records with it straight into its pending buffer (wal.h).

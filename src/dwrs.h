@@ -19,7 +19,8 @@
 //   faults::FaultyRun         — deterministic fault injection + crash/
 //                               loss-tolerant session layer (src/faults/)
 //   faults::Sharded           — the one sharded harness: a FaultyRun or
-//                               durability::DurableWswor per shard
+//                               durability::DurableWswor per shard, seeded
+//                               as every deployment is (sim/deployment.h)
 
 #ifndef DWRS_DWRS_H_
 #define DWRS_DWRS_H_

@@ -230,56 +230,62 @@ class FaultyRun {
   using CoordinatorFront =
       std::function<sim::CoordinatorNode*(Coordinator&, CoordinatorSession&)>;
 
-  // `trace_shard` labels every flight-recorder event of this stack (the
-  // sharded harness passes the shard index; unsharded runs default to 0).
+  // Shard `shard` of `num_shards` (the default is the unsharded stack):
+  // `config.num_sites` is the global k, and the stack runs the shard's
+  // block of sites with seeds drawn as sim::DeploySharded draws them.
+  // The shard index also labels the stack's flight-recorder events.
   // Without `make_front` the backend delivers to the session directly.
   FaultyRun(const Config& config, const FaultConfig& fault_config,
-            Backend backend, int trace_shard = 0,
+            Backend backend, int shard = 0, int num_shards = 1,
             const CoordinatorFront& make_front = nullptr)
-      : schedule_(fault_config), num_sites_(config.num_sites) {
+      : schedule_(fault_config),
+        num_sites_(ShardTopology(config.num_sites, num_shards)
+                       .SiteCount(shard)) {
     if (backend == Backend::kSim) {
       runtime_ = std::make_unique<sim::Runtime>(num_sites_);
     } else {
       engine::EngineConfig engine_config;
       engine_config.num_sites = num_sites_;
-      engine_config.trace_shard = trace_shard;
+      engine_config.trace_shard = shard;
       engine_ = std::make_unique<engine::Engine>(engine_config);
     }
     sim::Transport* inner =
         engine_ ? &engine_->transport()
                 : static_cast<sim::Transport*>(&runtime_->network());
     faulty_ = std::make_unique<FaultyTransport>(inner, &schedule_, num_sites_);
-    faulty_->set_trace_shard(trace_shard);
+    faulty_->set_trace_shard(shard);
     // Sessions and endpoints send through the tracing decorator, so every
     // message is recorded as it enters the network, before the fault
     // layer's verdict.
-    tracing_ =
-        std::make_unique<obs::TracingTransport>(faulty_.get(), trace_shard);
+    tracing_ = std::make_unique<obs::TracingTransport>(faulty_.get(), shard);
     coordinator_transport_ =
         std::make_unique<SwitchableTransport>(tracing_.get());
 
-    // The reliable facades' seeds (sim/deployment.h).
-    const sim::DeploymentSeeds seeds =
-        sim::DeriveDeploymentSeeds(config.seed, num_sites_);
+    const ShardTopology topology(config.num_sites, num_shards);
+    const sim::DeploymentSeeds seeds = sim::DeriveDeploymentSeeds(
+        config.seed, config.num_sites, num_shards);
+    const Config shard_config = ShardConfig(config, topology, shard);
     coordinator_ = Traits::MakeCoordinator(
-        config, coordinator_transport_.get(), seeds.coordinator[0]);
-    if constexpr (requires { coordinator_->set_trace_shard(trace_shard); }) {
-      coordinator_->set_trace_shard(trace_shard);
+        shard_config, coordinator_transport_.get(),
+        seeds.coordinator[static_cast<size_t>(shard)]);
+    if constexpr (requires { coordinator_->set_trace_shard(shard); }) {
+      coordinator_->set_trace_shard(shard);
     }
     coordinator_session_ = std::make_unique<CoordinatorSession>(
         num_sites_, coordinator_.get(), coordinator_transport_.get(),
         [this] { return coordinator_->ResyncMessages(); });
-    coordinator_session_->set_trace_shard(trace_shard);
+    coordinator_session_->set_trace_shard(shard);
 
     for (int i = 0; i < num_sites_; ++i) {
+      const uint64_t seed =
+          seeds.site[static_cast<size_t>(topology.GlobalOf(shard, i))];
       site_sessions_.push_back(std::make_unique<SiteSession>(
           i, tracing_.get(), &schedule_,
-          [config, i, seed = seeds.site[static_cast<size_t>(i)]](
-              sim::Transport* upper, uint32_t epoch) {
+          [shard_config, i, seed](sim::Transport* upper, uint32_t epoch) {
             return std::make_unique<typename Traits::Site>(
-                config, i, upper, RestartSeed(seed, epoch));
+                shard_config, i, upper, RestartSeed(seed, epoch));
           }));
-      site_sessions_.back()->set_trace_shard(trace_shard);
+      site_sessions_.back()->set_trace_shard(shard);
       if (runtime_) {
         runtime_->AttachSite(i, site_sessions_.back().get());
       } else {
@@ -454,25 +460,22 @@ using FaultyL1 = FaultyRun<L1FaultTraits>;
 // preserved); shard runs replay each other's transcripts bit for bit
 // whether executed sequentially or interleaved, because shards share no
 // state and every fault decision is a function of per-shard counters
-// only.
+// only. Seeds follow the one deployment rule (sim/deployment.h), so at
+// zero faults the merged sample equals ShardedWswor's for the same S.
 template <typename Stack>
 class Sharded {
  public:
-  // One shard per `shard_faults` entry (faults are per-shard state).
-  // Shard j's stack is make_shard(shard_config, shard_faults[j], j):
-  // `config` (whose num_sites is the global k) narrowed to shard j's
-  // block of sites and seeded with ShardSeed(config.seed, j).
-  template <typename Config, typename MakeShard>
-  Sharded(const Config& config, const std::vector<FaultConfig>& shard_faults,
+  // One shard per `shard_faults` entry (faults are per-shard state) over
+  // `num_sites` global sites; shard j's stack is
+  // make_shard(shard_faults[j], j, S), built as shard j of S (FaultyRun).
+  template <typename MakeShard>
+  Sharded(int num_sites, const std::vector<FaultConfig>& shard_faults,
           const MakeShard& make_shard)
-      : topology_(config.num_sites, static_cast<int>(shard_faults.size())) {
+      : topology_(num_sites, static_cast<int>(shard_faults.size())) {
     shards_.reserve(shard_faults.size());
     for (int shard = 0; shard < topology_.num_shards(); ++shard) {
-      Config shard_config = config;
-      shard_config.num_sites = topology_.SiteCount(shard);
-      shard_config.seed = ShardSeed(config.seed, shard);
-      shards_.push_back(make_shard(
-          shard_config, shard_faults[static_cast<size_t>(shard)], shard));
+      shards_.push_back(make_shard(shard_faults[static_cast<size_t>(shard)],
+                                   shard, topology_.num_shards()));
     }
   }
 
@@ -525,11 +528,11 @@ class ShardedFaultyRun : public Sharded<FaultyRun<Traits>> {
                    const std::vector<FaultConfig>& shard_faults,
                    Backend backend)
       : Sharded<FaultyRun<Traits>>(
-            config, shard_faults,
-            [backend](const auto& shard_config, const FaultConfig& faults,
-                      int shard) {
+            config.num_sites, shard_faults,
+            [&config, backend](const FaultConfig& faults, int shard,
+                               int num_shards) {
               return std::make_unique<FaultyRun<Traits>>(
-                  shard_config, faults, backend, /*trace_shard=*/shard);
+                  config, faults, backend, shard, num_shards);
             }) {}
 };
 

@@ -19,25 +19,38 @@ void PutFixedLe(std::vector<uint8_t>* out, uint64_t x, size_t n) {
   }
 }
 
+// The bits of the flags byte `msg` encodes with: its nonzero optional
+// fields.
+uint8_t PresentFields(const Payload& msg) {
+  uint8_t flags = 0;
+  if (msg.x != 0.0) flags |= kHasX;
+  if (msg.y != 0.0) flags |= kHasY;
+  if (msg.seq != 0) flags |= kHasSeq;
+  if (msg.epoch != 0) flags |= kHasEpoch;
+  return flags;
+}
+
+// The payload format (codec.h, EncodePayload).
+template <typename IO, typename Msg>
+void WalkPayload(IO& io, Msg& msg) {
+  io.Varint(msg.type);
+  io.Varint(msg.a);
+  uint8_t flags = PresentFields(msg);
+  io.Byte(flags);
+  if (flags & kHasSeq) io.Varint(msg.seq);
+  if (flags & kHasEpoch) io.Varint(msg.epoch);
+  if (flags & kHasX) io.F64(msg.x);
+  if (flags & kHasY) io.F64(msg.y);
+  // Canonical: the flags read are the ones the decoded fields re-derive.
+  io.Require(flags == PresentFields(msg));
+}
+
 // Decodes the payload spanning exactly [data, data + size).
 std::optional<Payload> DecodeSpan(const uint8_t* data, size_t size) {
   ByteReader r(data, size);
+  FieldReader io(r);
   Payload msg;
-  msg.type = r.Varint<uint32_t>();
-  msg.a = r.Varint();
-  const uint8_t flags = r.Byte();
-  if (flags & ~(kHasX | kHasY | kHasSeq | kHasEpoch)) r.Fail();
-  // A flagged seq/epoch that encodes 0 is non-canonical.
-  if (flags & kHasSeq) {
-    msg.seq = r.Varint<uint32_t>();
-    if (msg.seq == 0) r.Fail();
-  }
-  if (flags & kHasEpoch) {
-    msg.epoch = r.Varint<uint32_t>();
-    if (msg.epoch == 0) r.Fail();
-  }
-  if (flags & kHasX) msg.x = r.F64();
-  if (flags & kHasY) msg.y = r.F64();
+  WalkPayload(io, msg);
   if (!r.done()) return std::nullopt;  // malformed, or trailing garbage
   msg.words = static_cast<uint32_t>((size + 7) / 8);
   return msg;
@@ -69,9 +82,13 @@ void PutU32Le(std::vector<uint8_t>* out, uint32_t x) { PutFixedLe(out, x, 4); }
 void PutU64Le(std::vector<uint8_t>* out, uint64_t x) { PutFixedLe(out, x, 8); }
 
 void PutSizedPayload(std::vector<uint8_t>* out, const Payload& msg) {
-  const std::vector<uint8_t> wire = EncodePayload(msg);
-  PutVarint(out, wire.size());
-  out->insert(out->end(), wire.begin(), wire.end());
+  // A payload encodes to at most 42 bytes, so its length varint is one
+  // byte, filled in once the payload behind it is written.
+  const size_t at = out->size();
+  out->push_back(0);
+  FieldWriter io(out);
+  WalkPayload(io, msg);
+  (*out)[at] = static_cast<uint8_t>(out->size() - at - 1);
 }
 
 uint64_t ByteReader::RawVarint() {
@@ -136,18 +153,8 @@ Payload ByteReader::SizedPayload() {
 std::vector<uint8_t> EncodePayload(const Payload& msg) {
   std::vector<uint8_t> out;
   out.reserve(24);
-  PutVarint(&out, msg.type);
-  PutVarint(&out, msg.a);
-  uint8_t flags = 0;
-  if (msg.x != 0.0) flags |= kHasX;
-  if (msg.y != 0.0) flags |= kHasY;
-  if (msg.seq != 0) flags |= kHasSeq;
-  if (msg.epoch != 0) flags |= kHasEpoch;
-  out.push_back(flags);
-  if (flags & kHasSeq) PutVarint(&out, msg.seq);
-  if (flags & kHasEpoch) PutVarint(&out, msg.epoch);
-  if (flags & kHasX) PutF64(&out, msg.x);
-  if (flags & kHasY) PutF64(&out, msg.y);
+  FieldWriter io(&out);
+  WalkPayload(io, msg);
   return out;
 }
 

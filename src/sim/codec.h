@@ -3,9 +3,21 @@
 // (Section 2.1); this codec makes the claim concrete by serializing every
 // Payload into bytes (LEB128 varints for the integer fields, raw IEEE754
 // for keys/weights) so benches can report real byte counts next to the
-// word-accounting of MessageStats. The WAL records (durability/records.h)
-// and checkpoints (durability/checkpoint.h) are written with the same
-// helpers and read back with the same ByteReader.
+// word-accounting of MessageStats.
+//
+// Each format — the payload here, the WAL records (durability/records.h)
+// and the checkpoints (durability/checkpoint.h) — is stated once, as a
+// field walk: a function template over its I/O side that names every
+// field in order,
+//
+//   template <typename IO, typename Delta>
+//   void WalkDelta(IO& io, Delta& d) { io.Varint(d.id); io.F64(d.key); }
+//
+// run with a const value through a FieldWriter to encode and with a
+// mutable one through a FieldReader to decode. A field's width and place
+// are therefore the same on both sides by construction. Rules only a
+// decoder can break — a range, a canonical form — stay in the walk as
+// io.Require(...), which the writer ignores.
 
 #ifndef DWRS_SIM_CODEC_H_
 #define DWRS_SIM_CODEC_H_
@@ -102,6 +114,64 @@ class ByteReader {
   bool ok_ = true;
 };
 
+// The encoding side of a field walk: appends each field to *out.
+class FieldWriter {
+ public:
+  explicit FieldWriter(std::vector<uint8_t>* out) : out_(out) {}
+
+  template <typename T>
+  void Varint(T x) { PutVarint(out_, static_cast<uint64_t>(x)); }
+  template <typename T>
+  void Zigzag(T x) { PutZigzag(out_, static_cast<int64_t>(x)); }
+  void F64(double x) { PutF64(out_, x); }
+  void U64Le(uint64_t x) { PutU64Le(out_, x); }
+  // A uint8_t, or an enum whose values fit one.
+  template <typename T>
+  void Byte(T x) { out_->push_back(static_cast<uint8_t>(x)); }
+  void Bool(bool x) { out_->push_back(x ? 1 : 0); }
+  void SizedPayload(const Payload& msg) { PutSizedPayload(out_, msg); }
+  // The element count, then each element through `walk`.
+  template <typename Vec, typename Walk>
+  void Seq(const Vec& elements, const Walk& walk) {
+    PutVarint(out_, elements.size());
+    for (const auto& e : elements) walk(e);
+  }
+  void Require(bool) {}
+
+ private:
+  std::vector<uint8_t>* out_;
+};
+
+// The decoding side: reads each field through `r`, whose getters bound
+// a value by its member's type, bound a count by Count() and latch the
+// first failure.
+class FieldReader {
+ public:
+  explicit FieldReader(ByteReader& r) : r_(r) {}
+
+  template <typename T>
+  void Varint(T& x) { x = r_.Varint<T>(); }
+  template <typename T>
+  void Zigzag(T& x) { x = r_.Zigzag<T>(); }
+  void F64(double& x) { x = r_.F64(); }
+  void U64Le(uint64_t& x) { x = r_.U64Le(); }
+  template <typename T>
+  void Byte(T& x) { x = static_cast<T>(r_.Byte()); }
+  void Bool(bool& x) { x = r_.Bool(); }
+  void SizedPayload(Payload& msg) { msg = r_.SizedPayload(); }
+  template <typename Vec, typename Walk>
+  void Seq(Vec& elements, const Walk& walk) {
+    elements.resize(r_.Count());
+    for (auto& e : elements) walk(e);
+  }
+  void Require(bool ok) {
+    if (!ok) r_.Fail();
+  }
+
+ private:
+  ByteReader& r_;
+};
+
 // Serializes a payload:
 //   varint type | varint a | flags byte | [varint seq] [varint epoch]
 //   | [8B x] [8B y]
@@ -111,8 +181,11 @@ class ByteReader {
 //   1 = x present, 2 = y present, 4 = seq present, 8 = epoch present.
 std::vector<uint8_t> EncodePayload(const Payload& msg);
 
-// Inverse of EncodePayload; nullopt on malformed input. The `words`
-// accounting field is reconstructed as ceil(bytes / 8).
+// Inverse of EncodePayload; nullopt on malformed input, and on any input
+// EncodePayload would not have written: the flags must be exactly those
+// the decoded fields re-derive (no unknown bit, no flagged field that
+// decodes to 0). The `words` accounting field is reconstructed as
+// ceil(bytes / 8).
 std::optional<Payload> DecodePayload(const std::vector<uint8_t>& bytes);
 
 // Convenience: encoded size in bytes.

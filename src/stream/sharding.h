@@ -71,8 +71,18 @@ class ShardTopology {
 std::vector<Workload> SplitByShard(const Workload& workload,
                                    const ShardTopology& topology);
 
-// Per-shard seed derivation (splitmix64 mix of base and shard index):
-// shard protocol instances must not share randomness.
+// The protocol config shard `shard` runs: `config` (whose num_sites is
+// the global k) with num_sites narrowed to the shard's block, so the
+// paper's k becomes the shard's site count and epoch/level bases resolve
+// per shard.
+template <typename Config>
+Config ShardConfig(Config config, const ShardTopology& topology, int shard) {
+  config.num_sites = topology.SiteCount(shard);
+  return config;
+}
+
+// Per-shard seed derivation (splitmix64 mix of base and shard index): the
+// jitter seeds of sim::ShardedRuntime's shard networks.
 uint64_t ShardSeed(uint64_t base, int shard);
 
 }  // namespace dwrs

@@ -355,6 +355,16 @@ TEST(CodecTest, RejectsZeroedHeaderFieldsWithFlagsSet) {
   // flags claim a seq/epoch but encode 0 — non-canonical, rejected.
   EXPECT_FALSE(DecodePayload({0x01, 0x02, 0x04, 0x00}).has_value());
   EXPECT_FALSE(DecodePayload({0x01, 0x02, 0x08, 0x00}).has_value());
+  // The same for a flagged x or y of 0.0, or of -0.0, which the encoder
+  // omits as well.
+  for (const uint8_t flag : {0x01, 0x02}) {
+    for (const uint8_t sign : {0x00, 0x80}) {
+      std::vector<uint8_t> bytes = {0x01, 0x02, flag, 0, 0, 0, 0, 0, 0, 0};
+      bytes.push_back(sign);
+      EXPECT_FALSE(DecodePayload(bytes).has_value())
+          << int{flag} << " " << int{sign};
+    }
+  }
   // Truncated seq varint.
   EXPECT_FALSE(DecodePayload({0x01, 0x02, 0x04}).has_value());
 }

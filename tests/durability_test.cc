@@ -470,6 +470,168 @@ TEST(CheckpointTest, EncodedBytesArePinned) {
   EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xAF8C9B81u);
 }
 
+// Every field of a ShardCheckpoint at a distinct nonzero value (the site
+// table's 0/1 flags aside), so two fields swapped inside the codec change
+// the bytes even where both are zero in SampleCheckpoint().
+ShardCheckpoint FullCheckpoint() {
+  uint64_t next = 0;
+  const auto u = [&next] { return ++next; };
+  const auto u32 = [&next] { return static_cast<uint32_t>(++next); };
+  const auto f = [&next] { return 0.25 + static_cast<double>(++next); };
+  const auto payload = [&] {
+    sim::Payload p;
+    p.type = u32();
+    p.a = u();
+    p.x = f();
+    p.y = f();
+    p.seq = u32();
+    p.epoch = u32();
+    return p;
+  };
+  const auto sample = [&](SampleKind kind) {
+    MergeableSample s;
+    s.kind = kind;
+    s.target_size = u();
+    s.state_version = u();
+    s.entries = {KeyedItem{Item{u(), f()}, f()},
+                 KeyedItem{Item{u(), f()}, f()}};
+    s.withheld = {LeveledKeyedItem{KeyedItem{Item{u(), f()}, f()},
+                                   static_cast<int>(u())},
+                  LeveledKeyedItem{KeyedItem{Item{u(), f()}, f()}, -3}};
+    s.level_counts = {LevelCount{static_cast<int>(u()), u()},
+                      LevelCount{-5, u()}};
+    s.slots = {MergeableSample::Slot{true, f(), Item{u(), f()}},
+               MergeableSample::Slot{false, f(), Item{u(), f()}}};
+    s.scalar = f();
+    return s;
+  };
+  ShardCheckpoint c;
+  c.checkpoint_seq = u();
+  c.step = u();
+  c.wal_records_logged = u();
+  c.snapshot.publish_seq = u();
+  c.snapshot.state_version = u();
+  c.snapshot.steps = u();
+  c.snapshot.session_epoch = u();
+  c.snapshot.stale = true;
+  c.snapshot.sample = sample(SampleKind::kTopKey);
+  c.snapshot.threshold = f();
+  c.snapshot.l1_estimate = f();
+  c.snapshot.messages.site_to_coord = u();
+  c.snapshot.messages.coord_to_site = u();
+  c.snapshot.messages.broadcast_events = u();
+  c.snapshot.messages.words = u();
+  for (uint64_t& v : c.snapshot.messages.by_type) v = u();
+  for (uint64_t& w : c.coordinator.rng) w = u();
+  c.coordinator.announced_epoch = static_cast<int>(u());
+  c.coordinator.early_received = u();
+  c.coordinator.regular_received = u();
+  c.coordinator.state_version = u();
+  c.coordinator.summary = sample(SampleKind::kSlotMin);
+  c.coordinator.saturated_levels = {static_cast<int>(u()), -2};
+  for (int i = 0; i < 2; ++i) {
+    c.session.peers.push_back({u32(), u32(), u32(), u32()});
+  }
+  c.session.transcript_hash = u();
+  c.session.delivered = u();
+  c.session.duplicates_dropped = u();
+  c.session.stale_epoch_dropped = u();
+  c.session.gaps_detected = u();
+  c.session.nacks_sent = u();
+  c.session.crash_detections = u();
+  c.session.resyncs_sent = u();
+  c.site_valid = {1, 0, 1};
+  c.site_sessions.resize(3);
+  for (faults::SiteSession::State& s : c.site_sessions) {
+    s.epoch = u32();
+    s.next_seq = u32();
+    s.unacked = {payload(), payload()};
+    s.retransmit_pending = true;
+    s.retransmit_from = u32();
+    s.items_seen = u();
+    s.down = true;
+    s.down_remaining = u();
+    s.crashes = u();
+    s.lost_unacked = u();
+    s.items_lost = u();
+    s.messages_dropped_down = u();
+    s.retransmits_sent = u();
+    s.pre_crash_counters.keys_decided = u();
+    s.pre_crash_counters.key_bits_consumed = u();
+    s.pre_crash_counters.skips_taken = u();
+  }
+  c.sites.resize(2);
+  for (WsworSite::State& s : c.sites) {
+    for (uint64_t& w : s.rng) w = u();
+    s.filter.has_pending = true;
+    s.filter.pending = f();
+    s.filter.value = f();
+    s.filter.decisions = u();
+    s.filter.accepts = u();
+    s.filter.skips_taken = u();
+    s.filter.draws = u();
+    s.threshold = f();
+    s.saturated = {1, 0, 1, 1};
+  }
+  c.transport.channels.resize(2);
+  for (faults::FaultyTransport::ChannelState& ch : c.transport.channels) {
+    ch.next_index = u();
+    ch.held = {{u(), payload()}, {u(), payload()}};
+  }
+  c.transport.forwarded = u();
+  c.transport.dropped = u();
+  c.transport.duplicated = u();
+  c.transport.delayed = u();
+  c.transport.enabled = true;
+  c.kills_done = u();
+  c.last_kill_step = u();
+  return c;
+}
+
+TEST(CheckpointTest, EveryFieldIsPinned) {
+  const ShardCheckpoint c = FullCheckpoint();
+  const std::vector<uint8_t> bytes = EncodeCheckpoint(c);
+  EXPECT_EQ(bytes.size(), 902u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xE0A560C4u);
+  const auto back = DecodeCheckpoint(bytes);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(EncodeCheckpoint(*back), bytes);
+}
+
+// A CRC-valid image whose site tables disagree is rejected, and the load
+// falls back a generation: restoring it would index site_valid past its
+// end, or restore the wrong site from `sites`.
+TEST(CheckpointTest, RejectsSiteTablesThatDisagree) {
+  const ShardCheckpoint good = SampleCheckpoint();  // valid {1, 0}, 1 site
+  ASSERT_TRUE(DecodeCheckpoint(EncodeCheckpoint(good)).has_value());
+  std::vector<ShardCheckpoint> bad(4, good);
+  bad[0].site_valid = {1};        // fewer flags than site sessions
+  bad[1].site_valid = {1, 0, 0};  // more flags than site sessions
+  bad[2].site_valid = {1, 1};     // two set flags, one site state
+  bad[3].site_valid = {2, 0};     // a flag that is not 0 or 1
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_FALSE(DecodeCheckpoint(EncodeCheckpoint(bad[i])).has_value()) << i;
+  }
+
+  const std::string dir = TempDir("ckpt_site_tables");
+  ASSERT_TRUE(durability::EnsureDir(dir));
+  std::string error;
+  ShardCheckpoint older = good;
+  older.checkpoint_seq = 6;
+  ShardCheckpoint newer = bad[0];
+  newer.checkpoint_seq = 7;
+  ASSERT_TRUE(durability::WriteCheckpointFile(dir, older.checkpoint_seq,
+                                              EncodeCheckpoint(older), &error))
+      << error;
+  ASSERT_TRUE(durability::WriteCheckpointFile(dir, newer.checkpoint_seq,
+                                              EncodeCheckpoint(newer), &error))
+      << error;
+  const auto loaded = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->checkpoint_seq, 6u);
+  RemoveAll(dir);
+}
+
 TEST(CheckpointTest, RejectsUnknownSampleKind) {
   ShardCheckpoint c = SampleCheckpoint();
   c.snapshot.sample.kind = static_cast<SampleKind>(9);

@@ -1215,7 +1215,6 @@ TEST(LiveQueryL1Test, L1EstimateMatchesShardedEstimateExactly) {
   for (int j = 0; j < shards; ++j) {
     L1TrackerConfig shard_config = config;
     shard_config.num_sites = topo.SiteCount(j);
-    shard_config.seed = ShardSeed(config.seed, j);
     shard_configs.push_back(shard_config);
   }
   const auto endpoints = sim::DeploySharded(

@@ -473,6 +473,18 @@ TEST(ShardedEquivalenceTest, EveryBuilderReturnsTheSameSample) {
       EXPECT_EQ(ufaulty.SampleIds(), Ids(ufacade.Sample()))
           << " seed " << seed;
     }
+
+    // S = 2: the sharded fault harness draws its seeds by the same rule
+    // as every other sharded deployment.
+    ShardedWswor two_shards(config, /*num_shards=*/2);
+    two_shards.Run(w);
+    const std::vector<uint64_t> expected_two = Ids(two_shards.Sample());
+    for (const Backend backend : {Backend::kSim, Backend::kEngine}) {
+      ShardedFaultyWswor faulty(config, {FaultConfig{}, FaultConfig{}},
+                                backend);
+      faulty.Run(w);
+      EXPECT_EQ(faulty.MergedSampleIds(), expected_two) << " seed " << seed;
+    }
   }
 }
 
@@ -697,7 +709,6 @@ TEST(ShardedL1Test, SummedShardEstimatesTrackTotalWeight) {
   for (int j = 0; j < shards; ++j) {
     L1TrackerConfig shard_config = config;
     shard_config.num_sites = topo.SiteCount(j);
-    shard_config.seed = ShardSeed(config.seed, j);
     shard_configs.push_back(shard_config);
   }
   const auto endpoints = sim::DeploySharded(

@@ -42,7 +42,9 @@
 // `wal-dump`: decode one WAL segment and print a JSON line per record
 // (plus a summary on stderr). Flags: --file=<wal-N.log>
 
+#include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -357,8 +359,14 @@ int RunTraceMode(const Options& opt, const Workload& w) {
                  opt.backend.c_str());
     return 2;
   }
+  // Every ring is sized to hold the whole run, so no event is overwritten
+  // and check_trace.py can match each delivery to its send. A run records
+  // about 3.4 events per item over all threads; the feeder's ring alone
+  // takes over 2 (one site_scheduled and one item_span per item, since
+  // each step's Flush runs the site on the feeder).
   obs::FlightRecorder& recorder = obs::FlightRecorder::Get();
-  recorder.Enable(1 << 16, opt.deterministic);
+  recorder.Enable(std::max<uint64_t>(uint64_t{1} << 16, 4 * opt.n),
+                  opt.deterministic);
   if (!obs::TracingEnabled()) {
     std::fprintf(stderr,
                  "tracing compiled out (-DDWRS_TRACING=OFF); no trace\n");
