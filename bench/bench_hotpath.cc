@@ -1,4 +1,4 @@
-// E14 — hot-path anatomy: per-endpoint ingestion throughput of the span
+// E21 — hot-path anatomy: per-endpoint ingestion throughput of the span
 // (OnItems) path vs the per-item path, and the geometric-skip thinning
 // hit rate.
 //
@@ -227,7 +227,7 @@ int Main(bool quick) {
   const int reps = quick ? 2 : 3;
   const int s = 32;
 
-  bench::Header("E14 hot-path anatomy",
+  bench::Header("E21 hot-path anatomy",
                 "span (OnItems) ingestion with geometric-skip thinning "
                 "lifts single-site wswor >=3x over the per-item "
                 "lazy-exponential path; skipped items cost no RNG work "

@@ -1,4 +1,4 @@
-// E12 — The lower-bound hard instances (Theorems 5 and 7), measured on
+// E19 — The lower-bound hard instances (Theorems 5 and 7), measured on
 // our algorithms:
 //   (a) geometric stream w_i ~ (1+eps)^i: any correct HH tracker must
 //       change its output Omega(log(W)/eps) times — we count output
@@ -19,7 +19,7 @@ int main() {
   using namespace dwrs;
   using namespace dwrs::bench;
 
-  Header("E12: lower-bound hard streams (Theorems 5 and 7)",
+  Header("E19: lower-bound hard streams (Theorems 5 and 7)",
          "sample churn Omega(log(W)/eps); messages Omega(k logW / log k)");
 
   {

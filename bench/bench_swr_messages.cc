@@ -1,4 +1,4 @@
-// E11 — Corollary 1: distributed weighted SWR message complexity
+// E18 — Corollary 1: distributed weighted SWR message complexity
 // O((k + s log s) log(W) / log(2+k/s)), with the binomial batching
 // replacing per-duplicate work.
 
@@ -8,7 +8,7 @@ int main() {
   using namespace dwrs;
   using namespace dwrs::bench;
 
-  Header("E11: weighted SWR messages (Corollary 1)",
+  Header("E18: weighted SWR messages (Corollary 1)",
          "msgs = O((k + s log s) log(W)/log(2+k/s)) despite W >> n duplicates");
 
   Row("%s", "-- sweep W (k=16, s=16) --");

@@ -1,4 +1,4 @@
-// E10 — Proposition 6/7 cost model: O(1) site work per update, O(1)
+// E17 — Proposition 6/7 cost model: O(1) site work per update, O(1)
 // expected random words per key decision, O(log s) coordinator work per
 // accepted message. Google-benchmark microbenchmarks.
 

@@ -1,4 +1,4 @@
-// E13 — Sliding-window extension (paper Section 6 future work): message
+// E20 — Sliding-window extension (paper Section 6 future work): message
 // cost and skyline space of the distributed sliding-window weighted SWOR
 // as the window length sweeps. No optimality claim exists in the paper;
 // this charts what the forwarding protocol actually costs.
@@ -13,7 +13,7 @@ int main() {
   const int k = 16;
   const int s = 16;
   const uint64_t n = 100000;
-  Header("E13: sliding-window weighted SWOR  (k=16, s=16, n=100000)",
+  Header("E20: sliding-window weighted SWOR  (k=16, s=16, n=100000)",
          "Section 6 extension: msgs per item and skyline space vs window");
   Row("%-10s %-12s %-12s %-14s %-14s", "window", "messages", "msgs/item",
       "site-skyline", "coord-skyline");

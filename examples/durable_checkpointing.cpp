@@ -58,7 +58,7 @@ int main() {
               static_cast<unsigned long long>(shard.process_kills()),
               static_cast<unsigned long long>(shard.recoveries()));
   std::printf("last recovery: checkpoint step %llu, durable step %llu, "
-              "%llu records replayed (%llu truncated)\n",
+              "%llu tail records checked (%llu truncated)\n",
               static_cast<unsigned long long>(recovery.checkpoint_step),
               static_cast<unsigned long long>(recovery.durable_step),
               static_cast<unsigned long long>(recovery.wal_records_replayed),

@@ -24,8 +24,8 @@
 // stepping — a fuzzy checkpoint in the sense of ARIES (Mohan et al.,
 // TODS 1992). A kill inside that window leaves the new generation's WAL
 // segment without its checkpoint (and perhaps a torn ckpt-<seq>.bin.tmp);
-// recovery then loads the previous generation and replays every later
-// segment. Retention keeps that fallback: after writing checkpoint seq,
+// recovery then loads the previous generation and reads every later
+// segment too. Retention keeps that fallback: after writing checkpoint seq,
 // the newest older checkpoint that exists and every WAL segment from it
 // on stay, everything older goes, and so do stale temp files.
 

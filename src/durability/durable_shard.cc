@@ -19,34 +19,14 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-// Decision-record equality for the replay cross-check. Doubles compare
-// by bit pattern: replay must REGENERATE the logged history, not merely
-// approximate it.
-bool DecisionEquals(const WalRecord& a, const WalRecord& b) {
-  if (a.type != b.type) return false;
-  switch (a.type) {
-    case WalRecordType::kThresholdBump:
-      return Bits(a.threshold) == Bits(b.threshold);
-    case WalRecordType::kEpochChange:
-      return a.epoch == b.epoch;
-    case WalRecordType::kSampleDelta:
-      return a.added.item.id == b.added.item.id &&
-             Bits(a.added.item.weight) == Bits(b.added.item.weight) &&
-             Bits(a.added.key) == Bits(b.added.key) &&
-             a.evicted_valid == b.evicted_valid &&
-             (!a.evicted_valid || a.evicted_id == b.evicted_id);
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 // --- DurableCoordinator -----------------------------------------------
 
 DurableCoordinator::DurableCoordinator(faults::CoordinatorSession* session,
-                                       WsworCoordinator* coordinator)
-    : session_(session), coordinator_(coordinator) {
+                                       WsworCoordinator* coordinator,
+                                       Sink sink)
+    : session_(session), coordinator_(coordinator), sink_(std::move(sink)) {
   // Sample-membership changes fire inside OnMessage, on the thread that
   // owns the coordinator; OnMessage emits them after the arrival.
   coordinator_->set_sample_delta_hook(
@@ -60,45 +40,32 @@ DurableCoordinator::DurableCoordinator(faults::CoordinatorSession* session,
       });
 }
 
-void DurableCoordinator::EmitDecision(const WalRecord& record) {
-  if (capture_ != nullptr) {
-    capture_->push_back(record);
-  } else if (wal_ != nullptr) {
-    wal_->Append(record);
-    ++records_logged_;
-  }
-}
-
 void DurableCoordinator::OnMessage(int site, const sim::Payload& msg) {
   // Write-ahead: the arrival is logged before any state it will mutate.
-  // During replay (capture_ set) the arrival IS the log — no re-append.
-  if (capture_ == nullptr && wal_ != nullptr) {
-    WalRecord record;
-    record.type = WalRecordType::kMessage;
-    record.site = site;
-    record.msg = msg;
-    wal_->Append(record);
-    ++records_logged_;
-  }
+  WalRecord arrival;
+  arrival.type = WalRecordType::kMessage;
+  arrival.site = site;
+  arrival.msg = msg;
+  sink_(arrival);
   pending_deltas_.clear();
   const uint64_t threshold_before = Bits(coordinator_->Threshold());
   const int epoch_before = coordinator_->announced_epoch();
   session_->OnMessage(site, msg);
-  // Decision audit, in a fixed order (deltas, threshold, epoch) so the
-  // live log and the replay regeneration are comparable sequences.
-  for (const WalRecord& delta : pending_deltas_) EmitDecision(delta);
+  // Decision records, in a fixed order (deltas, threshold, epoch) so the
+  // live log and a re-feed's regeneration are comparable sequences.
+  for (const WalRecord& delta : pending_deltas_) sink_(delta);
   pending_deltas_.clear();
   if (Bits(coordinator_->Threshold()) != threshold_before) {
     WalRecord record;
     record.type = WalRecordType::kThresholdBump;
     record.threshold = coordinator_->Threshold();
-    EmitDecision(record);
+    sink_(record);
   }
   if (coordinator_->announced_epoch() != epoch_before) {
     WalRecord record;
     record.type = WalRecordType::kEpochChange;
     record.epoch = coordinator_->announced_epoch();
-    EmitDecision(record);
+    sink_(record);
   }
 }
 
@@ -134,8 +101,9 @@ void DurableWswor::BuildStack() {
       config_, schedule_.config(), backend_, shard_, num_shards_,
       [this](WsworCoordinator& coordinator,
              faults::CoordinatorSession& session) {
-        durable_coordinator_ =
-            std::make_unique<DurableCoordinator>(&session, &coordinator);
+        durable_coordinator_ = std::make_unique<DurableCoordinator>(
+            &session, &coordinator,
+            [this](const WalRecord& record) { Log(record); });
         return durable_coordinator_.get();
       });
 }
@@ -152,10 +120,8 @@ void DurableWswor::TearDownStack(bool abandon_pending) {
   // The stack joins its backend's threads before the decorator they
   // call dies.
   stack_.reset();
-  if (durable_coordinator_) {
-    wal_records_logged_ += durable_coordinator_->records_logged();
-  }
   durable_coordinator_.reset();
+  audit_.reset();
 }
 
 void DurableWswor::OpenSegment(uint64_t seq) {
@@ -163,7 +129,6 @@ void DurableWswor::OpenSegment(uint64_t seq) {
       WalSegmentPath(options_.dir, seq),
       WalWriterOptions{.fsync_commits = options_.fsync_commits});
   DWRS_CHECK(wal_->ok()) << " wal open failed: " << wal_->error();
-  durable_coordinator_->set_wal(wal_.get());
 }
 
 void DurableWswor::CloseSegment() {
@@ -178,16 +143,24 @@ void DurableWswor::AwaitCheckpoint() {
       << " checkpoint write failed: " << error;
 }
 
-void DurableWswor::AppendHarnessRecord(const WalRecord& record) {
-  wal_->Append(record);
-  ++wal_records_logged_;
+void DurableWswor::Log(const WalRecord& record) {
+  if (audit_) {
+    // The re-feed must regenerate the tail byte for byte.
+    if (audit_->next >= audit_->records.size() ||
+        EncodeWalRecord(record) != audit_->records[audit_->next]) {
+      last_recovery_.consistent = false;
+    }
+    ++audit_->next;
+  } else if (wal_) {
+    wal_->Append(record);
+    ++wal_records_logged_;
+  }
 }
 
 ShardCheckpoint DurableWswor::CaptureCheckpoint(uint64_t step) const {
   ShardCheckpoint checkpoint;
   checkpoint.step = step;
-  checkpoint.wal_records_logged =
-      wal_records_logged_ + durable_coordinator_->records_logged();
+  checkpoint.wal_records_logged = wal_records_logged_;
 
   // The query-layer view doubles as the checkpoint payload core.
   checkpoint.snapshot =
@@ -250,7 +223,7 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
     WalRecord mark;
     mark.type = WalRecordType::kCheckpointMark;
     mark.step = checkpoint.checkpoint_seq;
-    AppendHarnessRecord(mark);
+    Log(mark);
     DWRS_CHECK(wal_->Commit()) << " wal commit failed: " << wal_->error();
     retired = std::move(wal_);
   }
@@ -272,9 +245,8 @@ void DurableWswor::WriteCheckpoint(uint64_t step) {
 }
 
 bool DurableWswor::Recover() {
+  recovery_consistent_ = recovery_consistent_ && last_recovery_.consistent;
   last_recovery_ = RecoveryReport{};
-  catching_up_ = false;
-  catch_up_until_ = 0;
   const std::optional<ShardCheckpoint> loaded =
       LoadLatestCheckpoint(options_.dir);
   BuildStack();
@@ -298,17 +270,21 @@ bool DurableWswor::Recover() {
   // segments (present when the newest checkpoint was torn, or never
   // written because a kill hit its write window, and the load fell back
   // a generation — the later segments' records continue the arrival
-  // stream seamlessly, because rotation happens at capture).
-  std::vector<WalRecord> records;
+  // stream seamlessly, because rotation happens at capture). It is kept
+  // through the LAST committed step mark: everything behind it belongs
+  // to a step that never durably quiesced.
+  TailAudit tail;
+  bool read_any = false;
+  size_t kept = 0;  // tail records through the last step mark
+  uint64_t durable_step = feed_step_;
   uint64_t last_seq = scan_seq;
   bool stop_scan = false;
   for (uint64_t seq = scan_seq; !stop_scan; ++seq) {
-    const WalReadResult segment =
-        ReadWalFile(WalSegmentPath(options_.dir, seq));
+    WalReadResult segment = ReadWalFile(WalSegmentPath(options_.dir, seq));
     if (!segment.ok) break;
     last_seq = seq;
     if (segment.truncated_tail) last_recovery_.wal_tail_truncated = true;
-    for (const std::vector<uint8_t>& payload : segment.payloads) {
+    for (std::vector<uint8_t>& payload : segment.payloads) {
       const std::optional<WalRecord> record = DecodeWalRecord(payload);
       if (!record) {
         // CRC-valid but undecodable: format corruption, not a torn
@@ -317,90 +293,35 @@ bool DurableWswor::Recover() {
         last_recovery_.consistent = false;
         break;
       }
-      records.push_back(*record);
+      read_any = true;
+      if (record->type == WalRecordType::kCheckpointMark) continue;
+      tail.records.push_back(std::move(payload));
+      if (record->type == WalRecordType::kStepMark) {
+        kept = tail.records.size();
+        durable_step = record->step;
+      }
     }
     if (segment.truncated_tail && !stop_scan) {
       // A torn tail ends the trustworthy stream. In the FINAL segment
       // that is the expected mid-write kill signature; records in any
-      // LATER segment would sit past a gap — never replay across one.
+      // LATER segment would sit past a gap — never read across one.
       stop_scan = true;
       if (ReadWalFile(WalSegmentPath(options_.dir, seq + 1)).ok) {
         last_recovery_.consistent = false;
       }
     }
   }
-  last_recovery_.recovered = loaded.has_value() || !records.empty();
-
-  // Replay through the LAST committed step mark: everything behind it
-  // belongs to a step that never durably quiesced and is regenerated by
-  // the re-feed.
-  size_t cut = 0;
-  uint64_t durable_step = feed_step_;
-  for (size_t i = records.size(); i-- > 0;) {
-    if (records[i].type == WalRecordType::kStepMark) {
-      cut = i + 1;
-      durable_step = records[i].step;
-      break;
-    }
-  }
+  last_recovery_.recovered = loaded.has_value() || read_any;
   last_recovery_.durable_step = durable_step;
-  last_recovery_.wal_records_truncated =
-      static_cast<uint64_t>(records.size() - cut);
-
-  // Replay the arrival stream through the real session code, sends
-  // aimed at a capture sink; decision records regenerate into
-  // `regenerated` for the cross-check below.
-  CaptureTransport sink;
-  std::vector<WalRecord> regenerated;
-  stack_->coordinator_transport().set_target(&sink);
-  durable_coordinator_->set_replay_capture(&regenerated);
-  std::vector<const WalRecord*> logged_decisions;
-  catch_up_broadcasts_.clear();
-  for (size_t i = 0; i < cut; ++i) {
-    const WalRecord& record = records[i];
-    switch (record.type) {
-      case WalRecordType::kMessage:
-        durable_coordinator_->OnMessage(record.site, record.msg);
-        break;
-      case WalRecordType::kThresholdBump:
-      case WalRecordType::kEpochChange:
-      case WalRecordType::kSampleDelta:
-        logged_decisions.push_back(&record);
-        break;
-      case WalRecordType::kStepMark: {
-        // Broadcasts the replayed arrivals of this step regenerated;
-        // the catch-up re-feed re-injects them at the same boundary.
-        std::vector<sim::Payload> broadcasts = sink.TakeBroadcasts();
-        if (!broadcasts.empty()) {
-          catch_up_broadcasts_.emplace(record.step, std::move(broadcasts));
-        }
-        break;
-      }
-      case WalRecordType::kCheckpointMark:
-        break;
-    }
-  }
-  durable_coordinator_->set_replay_capture(nullptr);
-  stack_->coordinator_transport().set_target(nullptr);
-  last_recovery_.wal_records_replayed = static_cast<uint64_t>(cut);
-  wal_records_replayed_ += static_cast<uint64_t>(cut);
-
-  if (regenerated.size() != logged_decisions.size()) {
-    last_recovery_.consistent = false;
-  } else {
-    for (size_t i = 0; i < regenerated.size(); ++i) {
-      if (!DecisionEquals(regenerated[i], *logged_decisions[i])) {
-        last_recovery_.consistent = false;
-        break;
-      }
-    }
-  }
-  recovery_consistent_ = recovery_consistent_ && last_recovery_.consistent;
+  last_recovery_.wal_records_truncated = tail.records.size() - kept;
+  last_recovery_.wal_records_replayed = kept;
+  wal_records_replayed_ += kept;
+  tail.records.resize(kept);
 
   if (obs::TracingEnabled()) {
     obs::TraceEvent event;
     event.type = obs::EventType::kRecoveryReplay;
-    event.a = static_cast<uint64_t>(cut);
+    event.a = kept;
     event.step = durable_step;
     event.shard = static_cast<int16_t>(shard_);
     obs::Emit(event);
@@ -413,21 +334,20 @@ bool DurableWswor::Recover() {
   }
   ++recoveries_;
   checkpoint_seq_ = std::max(checkpoint_seq_, last_seq);
-  if (durable_step > feed_step_) {
-    // Sites sit at B while session + coordinator sit at D: defer all
-    // durable writes until the feeder has re-run (B, D] and the whole
-    // stack is a pure D-state. Until then the old segments stay
-    // authoritative — a second kill inside the window replays them
-    // idempotently.
-    catching_up_ = true;
-    catch_up_until_ = durable_step;
-  } else {
-    // Recovery checkpoint: supersede every replayed segment and rotate
-    // to a fresh one, so recovery never appends to an old segment file.
-    catch_up_broadcasts_.clear();
-    WriteCheckpoint(feed_step_);
-  }
+  audit_ = std::move(tail);
+  // Past B, the stack re-feeds (B, D] against the audit before anything
+  // durable is written; until then the old segments stay authoritative.
+  if (durable_step <= feed_step_) EndRecovery();
   return true;
+}
+
+void DurableWswor::EndRecovery() {
+  if (audit_->next != audit_->records.size()) last_recovery_.consistent = false;
+  audit_.reset();
+  // Every layer sits at the same durable step again: the recovery
+  // checkpoint supersedes every segment read and rotates logging to a
+  // fresh one, so recovery never appends to an old segment file.
+  WriteCheckpoint(feed_step_);
 }
 
 void DurableWswor::Run(const Workload& workload,
@@ -438,33 +358,16 @@ void DurableWswor::Run(const Workload& workload,
     stack_->Step(workload.event(step));
     ++step;
     feed_step_ = step;
-    if (catching_up_) {
-      // Catch-up window (B, D]: logging is off — the old segments
-      // already cover these steps. The session duplicate-drops (and
-      // re-acks) the re-sent arrivals; what it cannot regenerate are
-      // the coordinator-initiated broadcasts, so re-inject the captured
-      // ones at their original step boundary.
-      const auto broadcasts = catch_up_broadcasts_.find(step);
-      if (broadcasts != catch_up_broadcasts_.end()) {
-        for (const sim::Payload& msg : broadcasts->second) {
-          stack_->coordinator_transport().Broadcast(msg);
-        }
-        stack_->Flush();
-      }
-      if (step == catch_up_until_) {
-        // The whole stack is a pure D-state again: make it durable and
-        // resume normal logging on a fresh segment.
-        catching_up_ = false;
-        catch_up_broadcasts_.clear();
-        WriteCheckpoint(step);
-      }
+    // Quiesce point: the step's message exchange is complete on both
+    // backends, so the mark is ordered after every record it covers.
+    WalRecord mark;
+    mark.type = WalRecordType::kStepMark;
+    mark.step = step;
+    Log(mark);
+    if (audit_) {
+      // Re-feed of (B, D]: the old segments already cover these steps.
+      if (step == last_recovery_.durable_step) EndRecovery();
     } else {
-      // Quiesce point: the step's message exchange is complete on both
-      // backends, so the mark is ordered after every record it covers.
-      WalRecord mark;
-      mark.type = WalRecordType::kStepMark;
-      mark.step = step;
-      AppendHarnessRecord(mark);
       if (step % options_.commit_interval_steps == 0) {
         DWRS_CHECK(wal_->Commit()) << " wal commit failed: " << wal_->error();
         // With a checkpoint write in flight, offer the CPU: a writer
@@ -492,9 +395,9 @@ void DurableWswor::Run(const Workload& workload,
       step = feed_step_;
     }
   }
-  DWRS_CHECK(!catching_up_)
-      << " workload ended inside the recovery catch-up window (the re-fed"
-         " stream must cover every durably logged step)";
+  DWRS_CHECK(!audit_)
+      << " workload ended inside the recovery re-feed (the re-fed stream"
+         " must cover every durably logged step)";
   stack_->Reconcile();
   // Final checkpoint (post-reconcile): commits the reconcile-round
   // records and leaves the directory resumable at end of stream. Run
@@ -507,12 +410,12 @@ faults::RunReport DurableWswor::report() const {
   faults::RunReport out = stack_->report();
   out.process_kills = kills_done_;
   out.recoveries = recoveries_;
-  out.wal_records_logged =
-      wal_records_logged_ + durable_coordinator_->records_logged();
+  out.wal_records_logged = wal_records_logged_;
   out.wal_records_replayed = wal_records_replayed_;
   out.checkpoints_written = checkpoints_written_;
-  out.recovery_consistent = recovery_consistent_;
-  out.clean = out.clean && recovery_consistent_;
+  out.recovery_consistent =
+      recovery_consistent_ && last_recovery_.consistent;
+  out.clean = out.clean && out.recovery_consistent;
   return out;
 }
 

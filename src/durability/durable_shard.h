@@ -34,54 +34,48 @@
 // thread's CPU runs as soon as each of its syncs completes.
 //
 // Recovery (Recover(), run by the constructor when the directory holds
-// state):
+// state) re-executes the inputs, as command logging does:
 //
 //   1. Load the newest decodable checkpoint c (a torn newest file, or a
 //      missing one after a kill inside the write window, falls back to
-//      the newest older one); restore sites, site sessions and the fault
-//      transport at its step B, the coordinator + session at its state.
-//   2. Replay the WAL tail (wal-<c>.log, plus any later segments when
-//      an older generation was loaded): every kMessage record re-enters
-//      the REAL CoordinatorSession::OnMessage — hellos, duplicates and
-//      gap arrivals included — with sends aimed at a capture sink, so
-//      session and coordinator state evolve exactly as they did live,
-//      through the LAST committed kStepMark (the durable step D).
-//      Records behind that mark belong to a step that never quiesced
-//      durably; they are counted truncated and regenerated by re-feed.
-//      Decision records (threshold bumps, epoch changes, sample deltas)
-//      are not applied — replay REGENERATES them and cross-checks the
-//      logged tail; a divergence flags the recovery inconsistent
-//      (RunReport::recovery_consistent), never silently wrong. The
-//      coordinator-initiated broadcasts replay regenerates are captured
-//      per step for the catch-up below.
-//   3. Catch up the sites: the feeder re-runs (B, D] with logging off —
-//      the old segments already cover those steps and stay on disk, so
-//      a second kill inside the window recovers idempotently — while
-//      the session duplicate-drops (and re-acks) every re-sent message
-//      and the harness re-injects the captured broadcasts at their
-//      original step boundaries, bringing the sites to the same D-state
-//      the live run had. At D a recovery checkpoint (seq = last
-//      segment + 1) is written and logging rotates to a fresh segment,
-//      so recovery never appends to — or re-truncates — an old segment
-//      file.
+//      the newest older one) and restore the whole stack at its step B:
+//      sites, site sessions, the fault transport, the coordinator and
+//      its session.
+//   2. Read the WAL tail (wal-<c>.log, plus any later segments when an
+//      older generation was loaded) through the LAST committed kStepMark,
+//      the durable step D. Records behind that mark belong to a step
+//      that never quiesced durably; they are counted truncated. The
+//      records through D, checkpoint marks dropped, are kept as the
+//      audit: what re-executing (B, D] must regenerate.
+//   3. Re-feed (B, D] with logging off. The stack is deterministic, so
+//      every layer evolves as it did live, and every record it would
+//      log — each arrival, each decision it caused, each step mark — is
+//      checked against the audit's next record instead. A record whose
+//      bytes differ, or one left over at D, flags the recovery
+//      (RunReport::recovery_consistent); the tail's data is never
+//      applied, so a flagged recovery still holds the state the stream
+//      produces. The old segments stay on disk, so a second kill inside
+//      the window recovers from them again. At D the audit is freed, a
+//      recovery checkpoint (seq = last segment + 1) is written and
+//      logging rotates to a fresh segment, so recovery never appends to
+//      — or re-truncates — an old segment file.
 //
 // The feeder then continues at D + 1 (the stream is a replayable
-// source): restored sites regenerate byte-identical messages for the
-// re-fed steps, and the restored fault-transport channel indices keep
-// every re-sent message on its original fault-schedule coordinate.
-// Under a kill-only schedule the recovered run's final state is
-// bit-identical to an uninterrupted run's; under active message faults
-// both execution backends recover to the same state bit for bit and
-// every data loss is a flagged session-layer event
-// (tests/durability_test.cc pins both).
+// source), and the restored fault-transport channel indices keep every
+// re-sent message on its original fault-schedule coordinate. Under a
+// kill-only schedule the recovered run's final state and counters are
+// identical to an uninterrupted run's; under active message faults both
+// execution backends recover to the same state bit for bit and every
+// data loss is a flagged session-layer event (tests/durability_test.cc
+// pins both).
 
 #ifndef DWRS_DURABILITY_DURABLE_SHARD_H_
 #define DWRS_DURABILITY_DURABLE_SHARD_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,60 +93,25 @@
 
 namespace dwrs::durability {
 
-// Replay-time send sink: swallows session traffic (acks and nacks
-// regenerate naturally when the re-feed's duplicates hit the session
-// again), but KEEPS the coordinator-initiated broadcasts — the sites,
-// restored at the checkpoint step, still need the threshold and
-// saturation announcements of the catch-up window delivered at their
-// original step boundaries (durable_shard.cc, Run).
-class CaptureTransport : public sim::Transport {
- public:
-  void SendToCoordinator(int, const sim::Payload&) override {}
-  void SendToSite(int, const sim::Payload&) override {}
-  void Broadcast(const sim::Payload& msg) override {
-    broadcasts_.push_back(msg);
-  }
-  uint64_t step() const override { return 0; }
-
-  // Broadcasts captured since the last take, in send order.
-  std::vector<sim::Payload> TakeBroadcasts() { return std::move(broadcasts_); }
-
- private:
-  std::vector<sim::Payload> broadcasts_;
-};
-
 // Coordinator decorator sitting between the backend and the
 // CoordinatorSession — the one point that sees the full pre-dedup
-// arrival stream. Live, it write-ahead-logs every arrival (and, after
-// processing, the decision records the arrival caused); during replay
-// it re-feeds logged arrivals and captures the regenerated decisions
-// for the cross-check. It installs itself as the coordinator's
-// sample-delta hook, so it must outlive the coordinator's last message.
+// arrival stream. It hands every arrival to `sink` before the session
+// sees it (write-ahead), then the decision records the arrival caused.
+// It installs itself as the coordinator's sample-delta hook, so it must
+// outlive the coordinator's last message.
 class DurableCoordinator : public sim::CoordinatorNode {
  public:
-  DurableCoordinator(faults::CoordinatorSession* session,
-                     WsworCoordinator* coordinator);
+  using Sink = std::function<void(const WalRecord&)>;
 
-  // Live mode: append records to `wal` (null disables logging).
-  void set_wal(WalWriter* wal) { wal_ = wal; }
-  // Replay mode: regenerated decision records go to `capture` instead of
-  // the WAL, and arrivals are not re-logged.
-  void set_replay_capture(std::vector<WalRecord>* capture) {
-    capture_ = capture;
-  }
+  DurableCoordinator(faults::CoordinatorSession* session,
+                     WsworCoordinator* coordinator, Sink sink);
 
   void OnMessage(int site, const sim::Payload& msg) override;
 
-  uint64_t records_logged() const { return records_logged_; }
-
  private:
-  void EmitDecision(const WalRecord& record);
-
   faults::CoordinatorSession* const session_;
   WsworCoordinator* const coordinator_;
-  WalWriter* wal_ = nullptr;
-  std::vector<WalRecord>* capture_ = nullptr;
-  uint64_t records_logged_ = 0;
+  const Sink sink_;
   std::vector<WalRecord> pending_deltas_;
 };
 
@@ -170,16 +129,19 @@ struct DurabilityOptions {
   bool fsync_commits = false;
 };
 
-// Outcome of one Recover() pass.
+// Outcome of one Recover() pass. `consistent` is final once Run passes
+// the durable step: the re-feed up to it is what checks the tail.
 struct RecoveryReport {
   bool recovered = false;  // any durable state found
   uint64_t checkpoint_seq = 0;
   uint64_t checkpoint_step = 0;  // B: feeder resumes at B + 1
   uint64_t durable_step = 0;     // D: last committed step mark
+  // Tail records through D, checkpoint marks dropped: what the re-feed
+  // of (B, D] is checked against.
   uint64_t wal_records_replayed = 0;
   uint64_t wal_records_truncated = 0;  // behind the last mark / torn tail
   bool wal_tail_truncated = false;     // segment ended mid-frame
-  bool consistent = true;              // decision audit cross-check
+  bool consistent = true;  // tail decodable and regenerated by the re-feed
 };
 
 // Coordinator-observable state at a quiesce point, bit-comparable
@@ -243,10 +205,13 @@ class DurableWswor {
   void BuildStack();
   // Waits for the in-flight checkpoint write first (kill included).
   void TearDownStack(bool abandon_pending);
-  // Loads the newest checkpoint + replays the WAL tail; true iff any
-  // durable state was found. Leaves the stack live-wired and logging to
-  // a fresh segment either way.
+  // Loads the newest checkpoint and reads the WAL tail into audit_; true
+  // iff any durable state was found. Leaves the stack logging to a fresh
+  // segment, or re-feeding (B, D] against the audit.
   bool Recover();
+  // At the durable step: flags a tail record the re-feed left over, frees
+  // the audit and writes the recovery checkpoint, which resumes logging.
+  void EndRecovery();
   // Captures checkpoint checkpoint_seq_ + 1 at `step`, rotates the WAL
   // and hands the write to checkpoint_writer_.
   void WriteCheckpoint(uint64_t step);
@@ -254,7 +219,9 @@ class DurableWswor {
   void AwaitCheckpoint();
   void OpenSegment(uint64_t seq);
   void CloseSegment();
-  void AppendHarnessRecord(const WalRecord& record);
+  // Every record the stack produces: appended to the WAL, or, while the
+  // re-feed runs, checked against the audit's next record instead.
+  void Log(const WalRecord& record);
   ShardCheckpoint CaptureCheckpoint(uint64_t step) const;
   void RestoreFromCheckpoint(const ShardCheckpoint& c);
 
@@ -281,24 +248,22 @@ class DurableWswor {
   uint64_t kills_done_ = 0;
   uint64_t last_kill_step_ = 0;
   uint64_t recoveries_ = 0;
-  bool recovery_consistent_ = true;
+  bool recovery_consistent_ = true;  // every recovery before the last
   RecoveryReport last_recovery_;
   // Folded stats of the segments closed on this thread (teardowns); the
   // writer keeps those it closed.
   WalStats closed_segment_stats_;
   CheckpointWriter checkpoint_writer_;
 
-  // Catch-up window after a recovery whose WAL tail reached past the
-  // checkpoint (durable step D > checkpoint step B): the feeder re-runs
-  // (B, D] with logging OFF (the old segments already cover those steps
-  // and stay on disk, so a kill during catch-up recovers idempotently
-  // from the same state) and re-injects the captured per-step broadcasts
-  // so the restored sites see the same announcements at the same step
-  // boundaries as the original timeline. The recovery checkpoint — a
-  // pure D-state — is written when the feeder reaches D.
-  bool catching_up_ = false;
-  uint64_t catch_up_until_ = 0;
-  std::map<uint64_t, std::vector<sim::Payload>> catch_up_broadcasts_;
+  // Set from a recovery until its re-feed reaches the durable step
+  // (last_recovery_.durable_step): the encoded tail records through it,
+  // checkpoint marks dropped, and the next one the re-feed must
+  // regenerate.
+  struct TailAudit {
+    std::vector<std::vector<uint8_t>> records;
+    size_t next = 0;
+  };
+  std::optional<TailAudit> audit_;
 };
 
 // Sharded composition (faults::Sharded): one DurableWswor per shard,

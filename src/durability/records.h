@@ -1,27 +1,29 @@
 // WAL record catalog. One frame payload (wal.h) is one encoded
 // WalRecord. Two record families:
 //
-//   Replay inputs — what recovery feeds back through the real protocol
-//   code:
+//   Inputs — what the coordinator stack was fed, and when:
 //     kMessage        every arrival at the coordinator-session input,
 //                     PRE-dedup (hellos, duplicates and gap arrivals
 //                     included: they advance session state even when
 //                     nothing reaches the inner coordinator), wrapped
 //                     around sim::codec's wire encoding.
-//     kStepMark       a stream step quiesced; recovery replays through
-//                     the LAST committed mark (the durable step) and
-//                     discards the partial step behind it.
+//     kStepMark       a stream step quiesced; recovery reads the tail
+//                     through the LAST committed mark (the durable step)
+//                     and discards the partial step behind it.
 //     kCheckpointMark a checkpoint of the given sequence was captured
 //                     here (audit of the rotation lifecycle).
 //
-//   Decision audit — coordinator outcomes recorded so a recovery can
-//   CROSS-CHECK that replay regenerated the same history, rather than
-//   trust it did:
+//   Decisions — coordinator outcomes an arrival caused:
 //     kThresholdBump  the coordinator announced a higher epoch
 //                     threshold.
 //     kEpochChange    the announced epoch index advanced.
 //     kSampleDelta    sample membership changed: `added` entered S,
 //                     optionally evicting `evicted_id`.
+//
+// Recovery applies no record: it re-feeds the steps the tail covers and
+// requires the re-feed to produce every tail record but the checkpoint
+// marks, byte for byte (durable_shard.h), so a tail that passes its CRC
+// but that the stream does not reproduce is flagged, never trusted.
 //
 // The format is one field walk (records.cc) over sim/codec's field I/O
 // (LEB128 varints, raw IEEE 754 little-endian doubles). Golden byte

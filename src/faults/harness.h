@@ -90,11 +90,15 @@ struct RunReport {
   uint64_t process_kills = 0;     // whole-shard kill -9 events
   uint64_t recoveries = 0;        // successful checkpoint+WAL recoveries
   uint64_t wal_records_logged = 0;
+  // WAL tail records through each recovery's durable step D, checkpoint
+  // marks dropped: what its re-feed was checked against.
   uint64_t wal_records_replayed = 0;
   uint64_t checkpoints_written = 0;
-  // False iff a recovery replay's regenerated events diverged from the
-  // decision records logged by the original timeline — a flagged
-  // (never silent) degraded result.
+  // False iff a recovery could not trust its WAL tail: a record would not
+  // decode or sat past a torn segment, or the re-feed of (B, D] did not
+  // regenerate the tail byte for byte (a record differed, or one was left
+  // over at D). A flagged (never silent) degraded result; a recovery's
+  // verdict is final once its Run passes D.
   bool recovery_consistent = true;
   // True iff every stamped message was delivered exactly once: no buffer
   // was wiped mid-flight and reconcile drained everything. A clean run's
@@ -189,36 +193,6 @@ struct L1FaultTraits {
 
 // --- the harness ------------------------------------------------------
 
-// The transport the coordinator stack (coordinator and session) sends
-// through. Live it passes every send straight to the stack's tracing
-// transport; durable recovery re-aims it at a capture sink while it
-// replays logged arrivals, because the acks, nacks and resyncs replay
-// regenerates already happened in the original timeline and re-emitting
-// them would double-deliver.
-class SwitchableTransport : public sim::Transport {
- public:
-  explicit SwitchableTransport(sim::Transport* live)
-      : live_(live), target_(live) {}
-
-  // Aims every later send at `target`; nullptr restores the live path.
-  void set_target(sim::Transport* target) {
-    target_ = target != nullptr ? target : live_;
-  }
-
-  void SendToCoordinator(int site, const sim::Payload& msg) override {
-    target_->SendToCoordinator(site, msg);
-  }
-  void SendToSite(int site, const sim::Payload& msg) override {
-    target_->SendToSite(site, msg);
-  }
-  void Broadcast(const sim::Payload& msg) override { target_->Broadcast(msg); }
-  uint64_t step() const override { return target_->step(); }
-
- private:
-  sim::Transport* const live_;
-  sim::Transport* target_;
-};
-
 template <typename Traits>
 class FaultyRun {
  public:
@@ -254,25 +228,23 @@ class FaultyRun {
                 : static_cast<sim::Transport*>(&runtime_->network());
     faulty_ = std::make_unique<FaultyTransport>(inner, &schedule_, num_sites_);
     faulty_->set_trace_shard(shard);
-    // Sessions and endpoints send through the tracing decorator, so every
-    // message is recorded as it enters the network, before the fault
-    // layer's verdict.
+    // The coordinator, the sessions and the endpoints send through the
+    // tracing decorator, so every message is recorded as it enters the
+    // network, before the fault layer's verdict.
     tracing_ = std::make_unique<obs::TracingTransport>(faulty_.get(), shard);
-    coordinator_transport_ =
-        std::make_unique<SwitchableTransport>(tracing_.get());
 
     const ShardTopology topology(config.num_sites, num_shards);
     const sim::DeploymentSeeds seeds = sim::DeriveDeploymentSeeds(
         config.seed, config.num_sites, num_shards);
     const Config shard_config = ShardConfig(config, topology, shard);
     coordinator_ = Traits::MakeCoordinator(
-        shard_config, coordinator_transport_.get(),
+        shard_config, tracing_.get(),
         seeds.coordinator[static_cast<size_t>(shard)]);
     if constexpr (requires { coordinator_->set_trace_shard(shard); }) {
       coordinator_->set_trace_shard(shard);
     }
     coordinator_session_ = std::make_unique<CoordinatorSession>(
-        num_sites_, coordinator_.get(), coordinator_transport_.get(),
+        num_sites_, coordinator_.get(), tracing_.get(),
         [this] { return coordinator_->ResyncMessages(); });
     coordinator_session_->set_trace_shard(shard);
 
@@ -418,17 +390,14 @@ class FaultyRun {
   const FaultyTransport& faulty_transport() const { return *faulty_; }
   int num_sites() const { return num_sites_; }
 
-  // Mutable views for the durable harness's checkpoint restore and
-  // recovery replay; quiesce points only.
+  // Mutable views for the durable harness's checkpoint restore; quiesce
+  // points only.
   Coordinator& coordinator() { return *coordinator_; }
   CoordinatorSession& coordinator_session() { return *coordinator_session_; }
   SiteSession& site_session(int site) {
     return *site_sessions_[static_cast<size_t>(site)];
   }
   FaultyTransport& faulty_transport() { return *faulty_; }
-  SwitchableTransport& coordinator_transport() {
-    return *coordinator_transport_;
-  }
 
  private:
   static constexpr int kMaxReconcileRounds = 8;
@@ -439,7 +408,6 @@ class FaultyRun {
   std::unique_ptr<engine::Engine> engine_;
   std::unique_ptr<FaultyTransport> faulty_;
   std::unique_ptr<obs::TracingTransport> tracing_;
-  std::unique_ptr<SwitchableTransport> coordinator_transport_;
   std::unique_ptr<Coordinator> coordinator_;
   std::unique_ptr<CoordinatorSession> coordinator_session_;
   std::vector<std::unique_ptr<SiteSession>> site_sessions_;

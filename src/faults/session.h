@@ -250,9 +250,9 @@ class CoordinatorSession : public sim::CoordinatorNode {
 
   // --- durable-checkpoint surface (src/durability/) --------------------
   // The per-peer reliability state plus the transcript fold and counters;
-  // with these restored, replaying the logged arrival stream through
-  // OnMessage reproduces the exact delivered prefix and counter
-  // evolution of the original run.
+  // with these restored at a checkpoint, re-feeding the stream from there
+  // reproduces the exact delivered prefix and counter evolution of the
+  // original run.
   struct State {
     std::vector<PeerState> peers;
     uint64_t transcript_hash = 0;

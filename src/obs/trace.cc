@@ -126,7 +126,7 @@ void Emit(TraceEvent event) {
     event.ts_ns = NowNs() - recorder.epoch_ns_.load(std::memory_order_relaxed);
   }
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  ring->slots[head % ring->slots.size()] = event;
+  ring->slots[head % ring->capacity] = event;
   ring->head.store(head + 1, std::memory_order_release);
 }
 
@@ -135,7 +135,7 @@ std::vector<TraceEvent> FlightRecorder::Collect() const {
   std::vector<TraceEvent> out;
   for (const auto& ring : rings_) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t cap = ring->slots.size();
+    const uint64_t cap = ring->capacity;
     const uint64_t first = head > cap ? head - cap : 0;
     for (uint64_t i = first; i < head; ++i) {
       out.push_back(ring->slots[i % cap]);
@@ -149,7 +149,7 @@ uint64_t FlightRecorder::dropped() const {
   uint64_t total = 0;
   for (const auto& ring : rings_) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t cap = ring->slots.size();
+    const uint64_t cap = ring->capacity;
     if (head > cap) total += head - cap;
   }
   return total;
@@ -168,7 +168,7 @@ std::string FlightRecorder::ExportChromeTrace() const {
   for (size_t tid = 0; tid < rings_.size(); ++tid) {
     const Ring& ring = *rings_[tid];
     const uint64_t head = ring.head.load(std::memory_order_acquire);
-    const uint64_t cap = ring.slots.size();
+    const uint64_t cap = ring.capacity;
     const uint64_t first = head > cap ? head - cap : 0;
     for (uint64_t i = first; i < head; ++i) {
       const TraceEvent& e = ring.slots[i % cap];

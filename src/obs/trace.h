@@ -76,7 +76,9 @@ enum class EventType : uint16_t {
   kWalFsync = 25,          // durability: group commit flushed (a=bytes)
   kCheckpointWrite = 26,   // durability: checkpoint handed to the writer
                            // thread, which persists it (a=seq)
-  kRecoveryReplay = 27,    // durability: WAL tail replayed (a=records)
+  kRecoveryReplay = 27,    // durability: WAL tail read through the
+                           // durable step, the records a recovery's
+                           // re-feed is checked against (a=records)
   kQueryWait = 28,         // freshness-SLO wait (a=min_version, dir=timeout)
 };
 
@@ -158,10 +160,20 @@ class FlightRecorder {
   std::string ExportChromeTrace() const;
 
   // Implementation detail, public only for the thread-local cache in
-  // trace.cc. Not part of the API.
+  // trace.cc. Not part of the API. The slots are allocated but not
+  // initialized: a slot's memory is touched only when an event is written
+  // into it, so a ring sized for the worst case costs resident memory
+  // only for the events recorded.
   struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
-    std::vector<TraceEvent> slots;
+    explicit Ring(size_t capacity)
+        : capacity(capacity),
+          slots(std::allocator<TraceEvent>().allocate(capacity)) {}
+    ~Ring() { std::allocator<TraceEvent>().deallocate(slots, capacity); }
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+
+    const size_t capacity;
+    TraceEvent* const slots;  // slot i holds an event once head > i
     // Monotone write index; slot (head % capacity) is written plainly,
     // then head advances with a release store the quiesce-point reader's
     // acquire load pairs with.

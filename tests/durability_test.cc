@@ -790,7 +790,10 @@ TEST(DurableShardTest, NoKillRunMatchesFaultyRunBitForBit) {
 }
 
 // Kill-only schedules: the recovered run's final state is bit-identical
-// to an uninterrupted run's, for every seed, on both backends.
+// to an uninterrupted run's, for every seed, on both backends, and so is
+// every session and fault-transport counter: the re-feed of (B, D]
+// re-executes those steps rather than re-sending into a session that
+// already holds them.
 TEST(DurableShardTest, KillAndRecoverIsTranscriptIdenticalAcrossSeeds) {
   const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 33};
   const Workload w = DurabilityWorkload(3, 260, /*seed=*/9);
@@ -826,6 +829,17 @@ TEST(DurableShardTest, KillAndRecoverIsTranscriptIdenticalAcrossSeeds) {
                     durable.last_recovery().durable_step);
         }
         EXPECT_TRUE(r.clean);
+        for (const faults::RunReportCounter& counter :
+             faults::kRunReportCounters) {
+          const std::string name = counter.name;
+          if (name == "process_kills" || name == "recoveries" ||
+              name == "wal_records_logged" || name == "wal_records_replayed" ||
+              name == "checkpoints_written") {
+            continue;  // durability counters: none in the reference
+          }
+          EXPECT_EQ(r.*counter.field, ref.*counter.field)
+              << name << ", fault seed " << fault_seed;
+        }
       }
       RemoveAll(dir);
     }
@@ -978,6 +992,69 @@ TEST(DurableShardTest, WalStatsCountTheSegmentInFlight) {
 
 // Thrown from an on_step hook to stop a Run at a chosen step.
 struct StopRun {};
+
+// An altered WAL tail is flagged, and its data is never used. Each
+// committed item arrival of a copied tail in turn is re-written with
+// another weight, in a frame with a valid CRC: the resumed run flags
+// itself, and still ends on the uninterrupted run's sample and
+// transcript, which the re-feed rebuilds from the stream.
+TEST(DurableShardTest, AlteredWalTailIsFlaggedAndNotUsed) {
+  const WsworConfig config{.num_sites = 3, .sample_size = 6, .seed = 21};
+  const Workload w = DurabilityWorkload(3, 200, /*seed=*/5);
+  FaultConfig none;
+  none.seed = 3;
+  faults::FaultyWswor reference(config, none, Backend::kSim);
+  reference.Run(w);
+  // Opts(): checkpoint 1 is captured at step 32, so wal-1.log holds the
+  // committed steps 33 to 60 when the copy is taken.
+  constexpr uint64_t kCopyStep = 60;
+  const std::string live_dir = TempDir("altered_live");
+  const std::string copy = TempDir("altered_copy");
+  {
+    DurableWswor live(config, none, Backend::kSim, Opts(live_dir));
+    live.Run(w, [&](uint64_t step) {
+      if (step == kCopyStep) CopyDir(live_dir, copy);
+    });
+  }
+  RemoveAll(live_dir);
+  const WalReadResult tail = ReadWalFile(durability::WalSegmentPath(copy, 1));
+  ASSERT_TRUE(tail.ok);
+  ASSERT_FALSE(tail.truncated_tail);
+  int altered = 0;
+  for (size_t i = 0; i < tail.payloads.size(); ++i) {
+    std::optional<WalRecord> record = DecodeWalRecord(tail.payloads[i]);
+    ASSERT_TRUE(record.has_value());
+    if (record->type != WalRecordType::kMessage ||
+        (record->msg.type != kWsworEarly &&
+         record->msg.type != kWsworRegular)) {
+      continue;
+    }
+    SCOPED_TRACE("tail record " + std::to_string(i));
+    ++altered;
+    record->msg.x *= 1.5;  // the item's weight
+    const std::string dir = TempDir("altered");
+    CopyDir(copy, dir);
+    {
+      WalWriter segment(durability::WalSegmentPath(dir, 1), WalWriterOptions{});
+      for (size_t j = 0; j < tail.payloads.size(); ++j) {
+        segment.Append(j == i ? EncodeWalRecord(*record) : tail.payloads[j]);
+      }
+      ASSERT_TRUE(segment.Close());
+    }
+    {
+      DurableWswor resumed(config, none, Backend::kSim, Opts(dir));
+      resumed.Run(w);
+      const RunReport r = resumed.report();
+      EXPECT_FALSE(r.recovery_consistent);
+      EXPECT_FALSE(r.clean);
+      EXPECT_EQ(resumed.SampleIds(), reference.SampleIds());
+      EXPECT_EQ(r.transcript_hash, reference.report().transcript_hash);
+    }
+    RemoveAll(dir);
+  }
+  EXPECT_GT(altered, 0);
+  RemoveAll(copy);
+}
 
 // A SIGKILL while the writer thread persists checkpoint c leaves
 // wal-<c>.log holding records, no ckpt-<c>.bin, and perhaps a torn
