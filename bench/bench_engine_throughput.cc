@@ -637,8 +637,8 @@ int Main(bool quick, int shards_filter) {
   // E16 — multi-reader query scale-out: readers ∈ {1, 4, 8}, root-merge
   // cache off vs on, same ingest running underneath. The uncached rows
   // are merge-bound (every query redoes the S-way root merge); the
-  // cached rows revalidate by publish-sequence stamps and serve the
-  // shared merged result, so repeated queries between publishes are
+  // cached rows revalidate by publish-sequence stamps and serve each
+  // reader's own cached merge, so repeated queries between publishes are
   // O(1). The acceptance gate rides the run's own numbers: some cached
   // multi-reader row must reach 1e6 queries/s AND 4x its uncached
   // counterpart in the same run.

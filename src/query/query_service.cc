@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <utility>
 
 #include "obs/trace.h"
@@ -43,14 +42,17 @@ void MergeShardReads(const std::vector<const SnapshotPublisher*>& shards,
   out->merged = MergeShardSamples(summaries);
 }
 
-uint64_t SeqSum(const std::vector<uint64_t>& seqs) {
-  return std::accumulate(seqs.begin(), seqs.end(), uint64_t{0});
-}
+// Process-wide and never reused: a service id tells a thread's cached
+// slot pointer apart from one into a service that died at the same
+// address, and a reader serial names a thread in every registry.
+std::atomic<uint64_t> g_next_service_id{1};
+std::atomic<uint64_t> g_next_reader_serial{1};
 
 }  // namespace
 
 QueryService::QueryService(std::vector<const SnapshotPublisher*> shards)
-    : shards_(std::move(shards)) {
+    : shards_(std::move(shards)),
+      id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)) {
   DWRS_CHECK(!shards_.empty());
   for (const SnapshotPublisher* shard : shards_) {
     DWRS_CHECK(shard != nullptr);
@@ -96,55 +98,56 @@ QueryResult QueryService::Query() const {
   return out;
 }
 
+QueryService::ReaderSlot& QueryService::ThisThreadSlot() const {
+  // The fast path: this thread's slot of the service it queried last.
+  struct LastSlot {
+    uint64_t service_id = 0;
+    ReaderSlot* slot = nullptr;
+  };
+  thread_local LastSlot last;
+  if (last.service_id == id_) return *last.slot;
+  thread_local const uint64_t serial =
+      g_next_reader_serial.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  ReaderSlot* mine = nullptr;
+  for (const std::unique_ptr<ReaderSlot>& slot : slots_) {
+    if (slot->owner == serial) mine = slot.get();
+  }
+  if (mine == nullptr) {
+    slots_.push_back(std::make_unique<ReaderSlot>());
+    mine = slots_.back().get();
+    mine->owner = serial;
+  }
+  last = LastSlot{id_, mine};
+  return *mine;
+}
+
 std::shared_ptr<const QueryResult> QueryService::QueryShared() const {
-  std::shared_ptr<const CachedQuery> entry =
-      cache_.load(std::memory_order_acquire);
-  if (entry != nullptr) {
-    // Revalidate by sequence stamp alone: S cheap probes instead of S
-    // full ShardSnapshot copies. A probe that leads its ring by one
-    // in-flight publish only turns a hit into a miss.
-    bool hit = true;
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      if (shards_[shard]->latest_seq() != entry->seqs[shard]) {
-        hit = false;
-        break;
-      }
-    }
-    if (hit) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      copies_avoided_.fetch_add(shards_.size(), std::memory_order_relaxed);
-      // Aliasing pointer: pins the whole entry, so the result stays
-      // valid even after a publish swaps the cache to a newer entry.
-      const QueryResult* result = &entry->result;
-      return std::shared_ptr<const QueryResult>(std::move(entry), result);
-    }
-    cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
+  ReaderSlot& slot = ThisThreadSlot();
+  // Revalidate by sequence stamp alone: S cheap probes instead of S full
+  // ShardSnapshot copies. The key is the stamps of the snapshots actually
+  // merged (coherent per shard by the pin/validate protocol) — NOT a
+  // separate probe, so it can never be torn against the result it
+  // describes. A probe that leads its ring by one in-flight publish only
+  // turns a hit into a miss.
+  const QueryResult* cached = slot.result.get();
+  bool hit = cached != nullptr;
+  for (size_t shard = 0; hit && shard < shards_.size(); ++shard) {
+    hit = shards_[shard]->latest_seq() == cached->shards[shard].publish_seq;
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto fresh = std::make_shared<CachedQuery>();
-  fresh->result = Query();
-  fresh->seqs.resize(shards_.size());
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    // Key = the stamps of the snapshots actually merged (coherent per
-    // shard by the pin/validate protocol) — NOT a separate probe, so
-    // the key can never be torn against the result it describes.
-    fresh->seqs[shard] = fresh->result.shards[shard].publish_seq;
-  }
-  // Install unless the cached cut's sequence sum is at least ours, so
-  // the cache tends forward. The sum does not order cuts shard by shard
-  // ((9, 7) beats (10, 5)); per-reader monotonicity comes from the
-  // probes above, not from this rule. Losing the race just means serving
-  // our own (still coherent) result without caching it.
-  const uint64_t fresh_sum = SeqSum(fresh->seqs);
-  std::shared_ptr<const CachedQuery> cur =
-      cache_.load(std::memory_order_acquire);
-  while (cur == nullptr || SeqSum(cur->seqs) < fresh_sum) {
-    if (cache_.compare_exchange_weak(cur, fresh, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      break;
+  if (hit) {
+    // Owner-only count: no read-modify-write, and no other reader writes
+    // this line (stats() only reads it).
+    slot.hits.store(slot.hits.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+  } else {
+    if (cached != nullptr) {
+      cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
     }
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    slot.result = std::make_shared<const QueryResult>(Query());
   }
-  return std::shared_ptr<const QueryResult>(fresh, &fresh->result);
+  return slot.result;
 }
 
 QueryResult QueryService::Query(const QueryOptions& options) const {
@@ -208,15 +211,15 @@ QueryResult QueryService::QueryAsOf(uint64_t max_state_version) const {
 }
 
 std::vector<KeyedItem> QueryService::Sample() const {
-  return Query().merged.TopEntries();
+  return QueryShared()->merged.TopEntries();
 }
 
-double QueryService::L1Estimate() const { return Query().l1_estimate; }
+double QueryService::L1Estimate() const { return QueryShared()->l1_estimate; }
 
 ThresholdedSample QueryService::EstimatorSample() const {
-  const QueryResult result = Query();
-  std::vector<KeyedItem> top = result.merged.TopEntries();
-  if (top.size() < result.merged.target_size) {
+  const std::shared_ptr<const QueryResult> result = QueryShared();
+  std::vector<KeyedItem> top = result->merged.TopEntries();
+  if (top.size() < result->merged.target_size) {
     // Fewer candidates than s anywhere: no shard has filled its sample,
     // so no threshold was ever announced and every delivered item is in
     // hand — exact-sum mode (tau = 0), nothing peeled off.
@@ -247,12 +250,16 @@ double QueryService::TotalWeight() const {
 
 QueryServiceStats QueryService::stats() const {
   QueryServiceStats out;
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(slots_mutex_);
+    for (const std::unique_ptr<ReaderSlot>& slot : slots_) {
+      out.cache_hits += slot->hits.load(std::memory_order_relaxed);
+    }
+  }
   out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   out.cache_invalidations =
       cache_invalidations_.load(std::memory_order_relaxed);
-  out.snapshot_copies_avoided =
-      copies_avoided_.load(std::memory_order_relaxed);
+  out.snapshot_copies_avoided = out.cache_hits * shards_.size();
   out.slo_waits = slo_waits_.load(std::memory_order_relaxed);
   out.slo_timeouts = slo_timeouts_.load(std::memory_order_relaxed);
   return out;

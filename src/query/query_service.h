@@ -20,23 +20,32 @@
 //
 // Root-merge cache. Between publishes every query redoes the identical
 // S-way merge, so the merge — not the lock-free reads — bounds the
-// query rate. QueryShared() caches one merged result keyed by the
-// vector of per-shard publish sequences. The key is built from the
-// publish_seq stamps of the snapshots that were actually pinned, read
-// and merged (each individually coherent under the publisher's
-// pin/validate protocol), and a hit requires EVERY shard's current
-// latest_seq() probe to equal the cached key — the double check that
-// guarantees no reader ever serves a merge whose key vector was torn
-// across a publish. Any shard's publish changes its sequence and thus
-// misses the cache; the next query rebuilds and reinstalls. Hits cost
-// S sequence probes and zero snapshot copies (the probe replaces the
-// full ShardSnapshot copy Read() would make) — O(1) in sample size.
-// The probes also keep every reader monotone per shard: a probe never
-// lags a read (query/snapshot.h), so once a reader has been served
-// publish n of a shard, an entry holding an older publish of it misses.
-// The install rule does not provide this — cuts built by different
-// readers are not ordered shard by shard, so the cache itself can hold
-// a cut older in one shard than one already served.
+// query rate. QueryShared() keeps one merged result per (reader thread,
+// service), keyed by the vector of per-shard publish sequences. The key
+// is built from the publish_seq stamps of the snapshots that were
+// actually pinned, read and merged (each individually coherent under
+// the publisher's pin/validate protocol), and a hit requires EVERY
+// shard's current latest_seq() probe to equal the cached key — the
+// double check that guarantees no reader ever serves a merge whose key
+// vector was torn across a publish. Any shard's publish changes its
+// sequence and thus misses; the reader's next query rebuilds its own
+// merge from Query(). Hits cost S sequence probes and zero snapshot
+// copies (the probe replaces the full ShardSnapshot copy Read() would
+// make) — O(1) in sample size — and write nothing another reader
+// writes: the slot, its merge and the merge's reference count belong to
+// the calling thread (unless it hands the returned pointer on). Each
+// reader is monotone per shard without any install rule: its slot only
+// ever holds the merge it built last, and one thread's successive
+// Read()s never go back (query/snapshot.h).
+//
+// A thread finds its slot through a thread-local {service id, slot}
+// pair, so the registry mutex is taken only when a thread queries a
+// service other than the one it queried last (the first time, or after
+// alternating). Service ids come from a process-wide counter and are
+// never reused, so a service built where another died never matches a
+// stale pair. A slot lives as long as its service: a service queried
+// by many short-lived threads keeps one slot, and one cached merge, per
+// thread that ever queried it.
 //
 // Time travel. QueryAsOf(v) asks each shard for its newest retained
 // snapshot with state_version <= v (the publisher keeps a ring of the
@@ -72,6 +81,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "estimators/swor_estimators.h"
@@ -131,8 +141,9 @@ struct QueryOptions {
 };
 
 // Cache / SLO counters, exported through obs/schema.cc under the
-// "query/" prefix. snapshot_copies_avoided counts the per-shard
-// ShardSnapshot copies the sequence-stamp revalidation saved (hits * S).
+// "query/" prefix, summed over every reader thread's cache slot.
+// snapshot_copies_avoided counts the per-shard ShardSnapshot copies the
+// sequence-stamp revalidation saved: cache_hits * S.
 struct QueryServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -156,12 +167,12 @@ class QueryService {
   // the merge (the uncached path); see QueryShared() for the cached one.
   QueryResult Query() const;
 
-  // Cached query: returns a shared view of the root merge for the
-  // current per-shard publish-sequence vector, rebuilding only when
-  // some shard has published since the cached entry was installed
+  // Cached query: returns a shared view of the calling thread's root
+  // merge for the current per-shard publish-sequence vector, rebuilding
+  // it only when some shard has published since this thread built it
   // (see the header comment for the coherence argument). The returned
-  // pointer stays valid after invalidation — it pins the entry it was
-  // served from.
+  // pointer stays valid after invalidation — it shares ownership of the
+  // result it was served.
   std::shared_ptr<const QueryResult> QueryShared() const;
 
   // Freshness-SLO query: waits (bounded by options.max_staleness) until
@@ -177,7 +188,8 @@ class QueryService {
   // incomplete.
   QueryResult QueryAsOf(uint64_t max_state_version) const;
 
-  // The merged global sample of Query() (empty while incomplete).
+  // The merged global sample (empty while incomplete). This and the
+  // estimator reads below serve from QueryShared()'s cache.
   std::vector<KeyedItem> Sample() const;
 
   // Summed shard L1 estimates (0.0 while incomplete).
@@ -191,15 +203,17 @@ class QueryService {
   ThresholdedSample EstimatorSample() const;
 
   // Subset-sum / count / total-weight estimates over a live snapshot.
-  // Each call takes its own snapshot; to compose coherent estimates
-  // (e.g. a sum/count ratio) capture EstimatorSample() once and apply
-  // estimators/swor_estimators.h to it directly.
+  // Each call reads the current merge on its own (a cache hit while no
+  // shard has published), so two calls may straddle a publish; to
+  // compose coherent estimates (e.g. a sum/count ratio) capture
+  // EstimatorSample() once and apply estimators/swor_estimators.h to it
+  // directly.
   double SubsetSum(const std::function<bool(const Item&)>& pred) const;
   double SubsetCount(const std::function<bool(const Item&)>& pred) const;
   double TotalWeight() const;
 
   // Point-in-time copy of the cache / SLO counters (relaxed reads; each
-  // counter individually exact).
+  // counter individually exact once its readers are quiet).
   QueryServiceStats stats() const;
 
   // Optional serve-latency histogram (microseconds). When set, every
@@ -211,22 +225,30 @@ class QueryService {
   }
 
  private:
-  // A cached root merge plus the publish-sequence vector it was built
-  // from (the stamps of the snapshots actually merged — never probed
-  // separately, so the key can never be torn against its result).
-  struct CachedQuery {
-    std::vector<uint64_t> seqs;
-    QueryResult result;
+  // One reader thread's cache: the root merge it built last, keyed by
+  // the publish_seq stamps of its per-shard snapshots. Only the owning
+  // thread writes it; hits is atomic so stats() may sum it (under
+  // slots_mutex_) while the owner counts. Cache-line aligned, so no two
+  // readers' slots share a line.
+  struct alignas(64) ReaderSlot {
+    uint64_t owner = 0;  // the owning thread's process-unique serial
+    std::shared_ptr<const QueryResult> result;
+    std::atomic<uint64_t> hits{0};
   };
+
+  // The calling thread's slot, created on its first query.
+  ReaderSlot& ThisThreadSlot() const;
 
   std::vector<const SnapshotPublisher*> shards_;
   obs::LatencyHistogram* latency_us_ = nullptr;
+  const uint64_t id_;  // process-unique, never reused
 
-  mutable std::atomic<std::shared_ptr<const CachedQuery>> cache_;
-  mutable std::atomic<uint64_t> cache_hits_{0};
+  mutable std::mutex slots_mutex_;
+  // Guarded by slots_mutex_; a slot, once made, lives as long as the
+  // service.
+  mutable std::vector<std::unique_ptr<ReaderSlot>> slots_;
   mutable std::atomic<uint64_t> cache_misses_{0};
   mutable std::atomic<uint64_t> cache_invalidations_{0};
-  mutable std::atomic<uint64_t> copies_avoided_{0};
   mutable std::atomic<uint64_t> slo_waits_{0};
   mutable std::atomic<uint64_t> slo_timeouts_{0};
 };

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -565,11 +566,69 @@ TEST(MergeCacheTest, CachedAndUncachedAnswersAgree) {
   }
 }
 
+// The cache is per reader thread: each thread builds, keeps and serves
+// its own entry, and the service's counters sum the threads' slots.
+TEST(MergeCacheTest, EachReaderThreadKeepsItsOwnEntry) {
+  constexpr int kQueriesEach = 5;
+  SnapshotPublisher a, b;
+  a.Publish(TopKeySnapshot(1, 2, {KI(1, 1.0, 5.0)}));
+  b.Publish(TopKeySnapshot(1, 2, {KI(2, 1.0, 7.0)}));
+  QueryService service({&a, &b});
+
+  // One thread after the other, so the outcome does not depend on the
+  // schedule: a cache shared between threads would hand the second
+  // thread the first one's entry.
+  std::vector<std::shared_ptr<const QueryResult>> served[2];
+  for (auto& mine : served) {
+    std::thread reader([&service, &mine] {
+      for (int q = 0; q < kQueriesEach; ++q) {
+        mine.push_back(service.QueryShared());
+      }
+    });
+    reader.join();
+  }
+  for (const auto& mine : served) {
+    ASSERT_EQ(mine.size(), static_cast<size_t>(kQueriesEach));
+    EXPECT_EQ(Ids(mine[0]->merged.TopEntries()),
+              (std::vector<uint64_t>{2, 1}));
+    for (const auto& result : mine) EXPECT_EQ(result.get(), mine[0].get());
+  }
+  EXPECT_NE(served[0][0].get(), served[1][0].get());
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_invalidations, 0u);
+  EXPECT_EQ(stats.cache_hits, 2u * (kQueriesEach - 1));
+  EXPECT_EQ(stats.snapshot_copies_avoided, stats.cache_hits * 2);
+
+  // A service built in the storage of one that died, on the same thread,
+  // over publishers at the same sequences: the thread's slot of the dead
+  // service must not be taken for the new one's.
+  std::optional<QueryService> scoped;
+  scoped.emplace(std::vector<const SnapshotPublisher*>{&a, &b});
+  (void)scoped->QueryShared();
+  (void)scoped->QueryShared();
+  EXPECT_EQ(scoped->stats().cache_hits, 1u);
+  scoped.reset();
+  SnapshotPublisher c, d;
+  c.Publish(TopKeySnapshot(1, 2, {KI(3, 1.0, 4.0)}));
+  d.Publish(TopKeySnapshot(1, 2, {KI(4, 1.0, 6.0)}));
+  scoped.emplace(std::vector<const SnapshotPublisher*>{&c, &d});
+  const auto fresh = scoped->QueryShared();
+  EXPECT_EQ(Ids(fresh->merged.TopEntries()), (std::vector<uint64_t>{4, 3}));
+  const auto fresh_stats = scoped->stats();
+  EXPECT_EQ(fresh_stats.cache_misses, 1u);
+  EXPECT_EQ(fresh_stats.cache_hits, 0u);
+}
+
 // The invalidation race: publishes landing while concurrent readers
-// serve from and rebuild the cache. Every served result must be
+// serve from and rebuild their caches. Every served result must be
 // coherent (all fields of each shard's slice from one publish, the key
-// vector matching the slices) and per-reader monotone. Run under TSan
-// in CI — this is the torn-sequence-vector check.
+// vector matching the slices) and per-reader monotone. Half the readers
+// take the estimator route (EstimatorSample over the cache), whose
+// served entries must each be a published one and whose largest served
+// id never goes back. Run under TSan in CI — this is the torn-sequence-
+// vector check.
 TEST(MergeCacheTest, ConcurrentCachedReadersDuringPublishes) {
   constexpr int kReaders = 4;
   constexpr int kShards = 2;
@@ -579,11 +638,43 @@ TEST(MergeCacheTest, ConcurrentCachedReadersDuringPublishes) {
   QueryService service({&publishers[0], &publishers[1]});
 
   std::atomic<bool> stop{false};
+  // Raised before each publish, so every id a reader is served is at
+  // most the value it loads after the read.
+  std::atomic<uint64_t> published_upto{0};
   std::vector<std::string> errors(kReaders);
   std::vector<std::atomic<uint64_t>> reads(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
+    if (r % 2 == 1) {
+      readers.emplace_back([&service, &stop, &published_upto, &errors, &reads,
+                            r] {
+        uint64_t last_max = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+          const ThresholdedSample sample = service.EstimatorSample();
+          const uint64_t upto = published_upto.load(std::memory_order_acquire);
+          std::ostringstream err;
+          uint64_t max_id = 0;
+          for (const KeyedItem& ki : sample.top) {
+            // Each publish v carries the one entry KI(v, 1.0, v).
+            if (ki.item.id == 0 || ki.item.id > upto ||
+                ki.key != static_cast<double>(ki.item.id) ||
+                ki.item.weight != 1.0) {
+              err << "unpublished entry " << ki.item.id << "; ";
+            }
+            max_id = std::max(max_id, ki.item.id);
+          }
+          if (max_id < last_max) err << "largest id went back; ";
+          last_max = max_id;
+          errors[static_cast<size_t>(r)] += err.str();
+          if (sample.top.size() == kShards) {
+            reads[static_cast<size_t>(r)].fetch_add(1,
+                                                    std::memory_order_relaxed);
+          }
+        }
+      });
+      continue;
+    }
     readers.emplace_back([&service, &stop, &errors, &reads, r] {
       std::vector<uint64_t> last_seq(kShards, 0);
       while (!stop.load(std::memory_order_acquire)) {
@@ -633,6 +724,7 @@ TEST(MergeCacheTest, ConcurrentCachedReadersDuringPublishes) {
     snap.sample.target_size = 4;
     snap.sample.state_version = v;
     snap.sample.entries.push_back(KI(v, 1.0, static_cast<double>(v)));
+    published_upto.store(v, std::memory_order_release);
     publishers[j].Publish(std::move(snap));
     if (v % 64 == 0) std::this_thread::yield();
   }
