@@ -6,6 +6,8 @@
 #ifndef DWRS_BENCH_BENCH_UTIL_H_
 #define DWRS_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,11 @@
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/json.h"
+
+// CMAKE_BUILD_TYPE, set per bench target by CMakeLists.txt.
+#ifndef DWRS_BUILD_TYPE
+#define DWRS_BUILD_TYPE "unknown"
+#endif
 
 namespace dwrs::bench {
 
@@ -29,12 +37,39 @@ namespace dwrs::bench {
 using util::JsonNumber;
 using util::JsonQuote;
 
+// The CPUs this process may run on, as `nproc` counts them, so a run
+// pinned with taskset records its pin rather than the machine's cores.
+inline unsigned UsableCpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return std::thread::hardware_concurrency();
+  }
+  return static_cast<unsigned>(CPU_COUNT(&set));
+}
+
+// The first "model name" of /proc/cpuinfo, or "unknown" without one.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(" \t", colon + 1);
+    if (start == std::string::npos) break;
+    return line.substr(start);
+  }
+  return "unknown";
+}
+
 // Collects rows of key/value fields and writes them as
 // BENCH_<name>.json:
 //   {"name": "...", "params": {...}, "rows": [{...}, {...}]}
-// Params hold run-wide settings (workload, item count); rows hold one
-// measurement each (typically: backend/config keys plus items_per_sec and
-// messages). Values are numbers or strings; field order is preserved.
+// Params hold run-wide settings (workload, item count) followed by the
+// machine that ran them (nproc, cpu_model, compiler, build_type); rows
+// hold one measurement each (typically: backend/config keys plus
+// items_per_sec and messages). Values are numbers or strings; field
+// order is preserved.
 class JsonBench {
  public:
   explicit JsonBench(std::string name) : name_(std::move(name)) {}
@@ -69,8 +104,13 @@ class JsonBench {
   std::string Write() const {
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream out(path);
+    Fields params = params_;
+    params.emplace_back("nproc", std::to_string(UsableCpus()));
+    params.emplace_back("cpu_model", JsonQuote(CpuModel()));
+    params.emplace_back("compiler", JsonQuote(__VERSION__));
+    params.emplace_back("build_type", JsonQuote(DWRS_BUILD_TYPE));
     out << "{\"name\": " << JsonQuote(name_) << ",\n \"params\": ";
-    WriteObject(out, params_);
+    WriteObject(out, params);
     out << ",\n \"rows\": [";
     for (size_t i = 0; i < rows_.size(); ++i) {
       out << (i == 0 ? "\n  " : ",\n  ");

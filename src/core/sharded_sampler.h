@@ -76,9 +76,6 @@ class ShardedWswor {
   std::vector<KeyedItem> Sample() const;
   MergeableSample MergedSample() const { return runtime_.MergedSample(); }
 
-  const WsworCoordinator& shard_coordinator(int shard) const {
-    return *endpoints_.coordinators[static_cast<size_t>(shard)];
-  }
   const ShardTopology& topology() const { return runtime_.topology(); }
   int num_shards() const { return runtime_.num_shards(); }
 

@@ -63,27 +63,27 @@ void SiteSession::OnItems(const Item* items, size_t n) {
     run_start = kNoRun;
   };
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t index = items_seen_++;
-    if (!down_ && schedule_->CrashesAt(site_, index)) {
+    const uint64_t index = state_.items_seen++;
+    if (!state_.down && schedule_->CrashesAt(site_, index)) {
       flush_run(i);
       Crash();
     }
-    if (down_) {
-      ++items_lost_;
-      if (--down_remaining_ == 0) Restart();
+    if (state_.down) {
+      ++state_.items_lost;
+      if (--state_.down_remaining == 0) Restart();
       continue;
     }
     if (run_start == kNoRun) {
-      if (retransmit_pending_) {
-        // Deferred go-back-N replay (see the field comment): runs at the
-        // site's own step, before the new item, so the coordinator can
-        // fill the gap and then take the new message in order. A nack can
-        // only arrive between spans, so checking at the head of each live
-        // run is exactly the per-item check.
-        retransmit_pending_ = false;
-        for (const sim::Payload& m : unacked_) {
-          if (m.seq < retransmit_from_) continue;
-          ++retransmits_sent_;
+      if (state_.retransmit_pending) {
+        // Deferred go-back-N replay (see State::retransmit_pending): runs
+        // at the site's own step, before the new item, so the coordinator
+        // can fill the gap and then take the new message in order. A nack
+        // can only arrive between spans, so checking at the head of each
+        // live run is exactly the per-item check.
+        state_.retransmit_pending = false;
+        for (const sim::Payload& m : state_.unacked) {
+          if (m.seq < state_.retransmit_from) continue;
+          ++state_.retransmits_sent;
           if (obs::TracingEnabled()) {
             obs::Emit(SessionEvent(obs::EventType::kRetransmit, trace_shard_,
                                    site_, /*dir=*/1, m));
@@ -102,28 +102,28 @@ void SiteSession::OnMessage(const sim::Payload& msg) {
     obs::Emit(SessionEvent(obs::EventType::kMsgRecv, trace_shard_, site_,
                            /*dir=*/2, msg));
   }
-  if (down_) {
+  if (state_.down) {
     // The process is dead; anything addressed to it is lost on the floor.
-    ++messages_dropped_down_;
+    ++state_.messages_dropped_down;
     return;
   }
   switch (msg.type) {
     case kSessionAck: {
-      if (msg.epoch != epoch_) return;  // ack for a previous incarnation
-      while (!unacked_.empty() && unacked_.front().seq <= msg.a) {
-        unacked_.pop_front();
+      if (msg.epoch != state_.epoch) return;  // ack for a previous incarnation
+      while (!state_.unacked.empty() && state_.unacked.front().seq <= msg.a) {
+        state_.unacked.pop_front();
       }
       return;
     }
     case kSessionNack: {
-      if (msg.epoch != epoch_) return;
+      if (msg.epoch != state_.epoch) return;
       // Request go-back-N replay from the lowest seq any nack asked for;
       // performed at the next OnItem (see OnItem).
-      if (!retransmit_pending_ ||
-          msg.a < static_cast<uint64_t>(retransmit_from_)) {
-        retransmit_from_ = static_cast<uint32_t>(msg.a);
+      if (!state_.retransmit_pending ||
+          msg.a < static_cast<uint64_t>(state_.retransmit_from)) {
+        state_.retransmit_from = static_cast<uint32_t>(msg.a);
       }
-      retransmit_pending_ = true;
+      state_.retransmit_pending = true;
       return;
     }
     default:
@@ -133,15 +133,15 @@ void SiteSession::OnMessage(const sim::Payload& msg) {
 
 void SiteSession::SendToCoordinator(int site, const sim::Payload& msg) {
   DWRS_CHECK_EQ(site, site_);
-  DWRS_CHECK(!down_);
+  DWRS_CHECK(!state_.down);
   // seq 0 means "unstamped" on the wire, so wrapping within one epoch
   // would silently break dedup; fail loudly instead (2^32 messages from
   // one site without a crash is outside the design envelope).
-  DWRS_CHECK_NE(next_seq_, 0u) << " per-epoch sequence space exhausted";
+  DWRS_CHECK_NE(state_.next_seq, 0u) << " per-epoch sequence space exhausted";
   sim::Payload stamped = msg;
-  stamped.seq = next_seq_++;
-  stamped.epoch = epoch_;
-  unacked_.push_back(stamped);
+  stamped.seq = state_.next_seq++;
+  stamped.epoch = state_.epoch;
+  state_.unacked.push_back(stamped);
   lower_->SendToCoordinator(site_, stamped);
 }
 
@@ -154,10 +154,10 @@ void SiteSession::Broadcast(const sim::Payload& /*msg*/) {
 }
 
 void SiteSession::RetransmitAllUnacked() {
-  if (down_) return;
-  retransmit_pending_ = false;
-  for (const sim::Payload& m : unacked_) {
-    ++retransmits_sent_;
+  if (state_.down) return;
+  state_.retransmit_pending = false;
+  for (const sim::Payload& m : state_.unacked) {
+    ++state_.retransmits_sent;
     if (obs::TracingEnabled()) {
       obs::Emit(SessionEvent(obs::EventType::kRetransmit, trace_shard_, site_,
                              /*dir=*/1, m));
@@ -167,42 +167,42 @@ void SiteSession::RetransmitAllUnacked() {
 }
 
 void SiteSession::Crash() {
-  ++crashes_;
+  ++state_.crashes;
   if (obs::TracingEnabled()) {
     obs::TraceEvent event;
     event.type = obs::EventType::kCrash;
     event.shard = static_cast<int16_t>(trace_shard_);
     event.site = site_;
-    event.epoch = epoch_;
-    event.a = unacked_.size();  // messages about to be irrecoverably lost
+    event.epoch = state_.epoch;
+    event.a = state_.unacked.size();  // messages about to be irrecoverably lost
     obs::Emit(event);
   }
-  down_ = true;
-  down_remaining_ =
+  state_.down = true;
+  state_.down_remaining =
       static_cast<uint64_t>(schedule_->config().crash_down_items);
   // Volatile state dies with the process: the endpoint, and with it any
   // sent-but-unacked messages — those are irrecoverable and counted, so
   // a degraded sample is always detectable, never silent.
-  lost_unacked_ += unacked_.size();
-  unacked_.clear();
-  retransmit_pending_ = false;
-  pre_crash_counters_ += endpoint_->HotPathCounters();
+  state_.lost_unacked += state_.unacked.size();
+  state_.unacked.clear();
+  state_.retransmit_pending = false;
+  state_.pre_crash_counters += endpoint_->HotPathCounters();
   endpoint_.reset();
 }
 
 void SiteSession::Restart() {
-  down_ = false;
-  ++epoch_;
-  next_seq_ = 1;
+  state_.down = false;
+  ++state_.epoch;
+  state_.next_seq = 1;
   if (obs::TracingEnabled()) {
     obs::TraceEvent event;
     event.type = obs::EventType::kRestart;
     event.shard = static_cast<int16_t>(trace_shard_);
     event.site = site_;
-    event.epoch = epoch_;
+    event.epoch = state_.epoch;
     obs::Emit(event);
   }
-  endpoint_ = factory_(this, epoch_);
+  endpoint_ = factory_(this, state_.epoch);
   DWRS_CHECK(endpoint_ != nullptr);
   // The hello is the first stamped message of the new epoch, so it is
   // covered by the same dedup/gap/retransmit machinery as everything
@@ -214,45 +214,13 @@ void SiteSession::Restart() {
   SendToCoordinator(site_, hello);
 }
 
-SiteSession::State SiteSession::SaveState() const {
-  State s;
-  s.epoch = epoch_;
-  s.next_seq = next_seq_;
-  s.unacked.assign(unacked_.begin(), unacked_.end());
-  s.retransmit_pending = retransmit_pending_;
-  s.retransmit_from = retransmit_from_;
-  s.items_seen = items_seen_;
-  s.down = down_;
-  s.down_remaining = down_remaining_;
-  s.crashes = crashes_;
-  s.lost_unacked = lost_unacked_;
-  s.items_lost = items_lost_;
-  s.messages_dropped_down = messages_dropped_down_;
-  s.retransmits_sent = retransmits_sent_;
-  s.pre_crash_counters = pre_crash_counters_;
-  return s;
-}
-
 void SiteSession::RestoreState(const State& s) {
-  epoch_ = s.epoch;
-  next_seq_ = s.next_seq;
-  unacked_.assign(s.unacked.begin(), s.unacked.end());
-  retransmit_pending_ = s.retransmit_pending;
-  retransmit_from_ = s.retransmit_from;
-  items_seen_ = s.items_seen;
-  down_ = s.down;
-  down_remaining_ = s.down_remaining;
-  crashes_ = s.crashes;
-  lost_unacked_ = s.lost_unacked;
-  items_lost_ = s.items_lost;
-  messages_dropped_down_ = s.messages_dropped_down;
-  retransmits_sent_ = s.retransmits_sent;
-  pre_crash_counters_ = s.pre_crash_counters;
+  state_ = s;
   // Rebuild the endpoint at the saved epoch (dead while down); no hello —
   // this incarnation already introduced itself in the original timeline.
   endpoint_.reset();
-  if (!down_) {
-    endpoint_ = factory_(this, epoch_);
+  if (!state_.down) {
+    endpoint_ = factory_(this, state_.epoch);
     DWRS_CHECK(endpoint_ != nullptr);
   }
 }
@@ -264,13 +232,11 @@ CoordinatorSession::CoordinatorSession(int num_sites,
                                        sim::CoordinatorNode* inner,
                                        sim::Transport* lower,
                                        ResyncProvider resync)
-    : inner_(inner),
-      lower_(lower),
-      resync_(std::move(resync)),
-      peers_(static_cast<size_t>(num_sites)) {
+    : inner_(inner), lower_(lower), resync_(std::move(resync)) {
   DWRS_CHECK(inner != nullptr);
   DWRS_CHECK(lower != nullptr);
   DWRS_CHECK_GT(num_sites, 0);
+  state_.peers.resize(static_cast<size_t>(num_sites));
 }
 
 void CoordinatorSession::SendAck(int site, const PeerState& peer) {
@@ -284,8 +250,8 @@ void CoordinatorSession::SendAck(int site, const PeerState& peer) {
 
 void CoordinatorSession::FoldTranscript(int site, const sim::Payload& msg) {
   auto fold = [this](uint64_t v) {
-    transcript_hash_ ^= v;
-    transcript_hash_ *= 1099511628211ull;  // FNV prime
+    state_.transcript_hash ^= v;
+    state_.transcript_hash *= 1099511628211ull;  // FNV prime
   };
   fold(static_cast<uint64_t>(site));
   fold(msg.type);
@@ -297,9 +263,9 @@ void CoordinatorSession::FoldTranscript(int site, const sim::Payload& msg) {
 }
 
 void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
-  DWRS_CHECK(site >= 0 && static_cast<size_t>(site) < peers_.size());
+  DWRS_CHECK(site >= 0 && static_cast<size_t>(site) < state_.peers.size());
   DWRS_CHECK_GT(msg.seq, 0u) << " unstamped message on a faulty transport";
-  PeerState& peer = peers_[static_cast<size_t>(site)];
+  PeerState& peer = state_.peers[static_cast<size_t>(site)];
   if (obs::TracingEnabled()) {
     obs::Emit(SessionEvent(obs::EventType::kMsgRecv, trace_shard_, site,
                            /*dir=*/1, msg));
@@ -307,7 +273,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
 
   if (msg.epoch < peer.epoch) {
     // In-flight leftover from before the site's crash.
-    ++stale_epoch_dropped_;
+    ++state_.stale_epoch_dropped;
     if (obs::TracingEnabled()) {
       obs::Emit(SessionEvent(obs::EventType::kStaleEpochDrop, trace_shard_,
                              site, /*dir=*/1, msg));
@@ -322,7 +288,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
     peer.expected_seq = 1;
     peer.max_seen_seq = 0;
     peer.last_nacked_expected = 0;
-    ++crash_detections_;
+    ++state_.crash_detections;
     if (obs::TracingEnabled()) {
       obs::TraceEvent event;
       event.type = obs::EventType::kEpochBump;
@@ -340,7 +306,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
                                  site, /*dir=*/2, m));
         }
         lower_->SendToSite(site, m);
-        ++resyncs_sent_;
+        ++state_.resyncs_sent;
       }
     }
   }
@@ -351,7 +317,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
     // Duplicate (network duplication or go-back-N overshoot). Re-ack so a
     // site retransmitting into a lost-ack window can still clear its
     // buffer.
-    ++duplicates_dropped_;
+    ++state_.duplicates_dropped;
     if (obs::TracingEnabled()) {
       obs::Emit(SessionEvent(obs::EventType::kDupDrop, trace_shard_, site,
                              /*dir=*/1, msg));
@@ -363,7 +329,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
     // Gap: something before this message is missing. Nack once per
     // missing position; the end-of-stream reconcile covers nacks that
     // are themselves lost.
-    ++gaps_detected_;
+    ++state_.gaps_detected;
     if (peer.last_nacked_expected != peer.expected_seq) {
       peer.last_nacked_expected = peer.expected_seq;
       sim::Payload nack;
@@ -376,7 +342,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
                                /*dir=*/2, nack));
       }
       lower_->SendToSite(site, nack);
-      ++nacks_sent_;
+      ++state_.nacks_sent;
     }
     return;
   }
@@ -384,7 +350,7 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
   // In order: deliver exactly once.
   ++peer.expected_seq;
   FoldTranscript(site, msg);
-  ++delivered_;
+  ++state_.delivered;
   if (obs::TracingEnabled()) {
     obs::Emit(SessionEvent(obs::EventType::kMsgDeliver, trace_shard_, site,
                            /*dir=*/1, msg));
@@ -393,35 +359,13 @@ void CoordinatorSession::OnMessage(int site, const sim::Payload& msg) {
   SendAck(site, peer);
 }
 
-CoordinatorSession::State CoordinatorSession::SaveState() const {
-  State s;
-  s.peers = peers_;
-  s.transcript_hash = transcript_hash_;
-  s.delivered = delivered_;
-  s.duplicates_dropped = duplicates_dropped_;
-  s.stale_epoch_dropped = stale_epoch_dropped_;
-  s.gaps_detected = gaps_detected_;
-  s.nacks_sent = nacks_sent_;
-  s.crash_detections = crash_detections_;
-  s.resyncs_sent = resyncs_sent_;
-  return s;
-}
-
 void CoordinatorSession::RestoreState(const State& s) {
-  DWRS_CHECK_EQ(s.peers.size(), peers_.size());
-  peers_ = s.peers;
-  transcript_hash_ = s.transcript_hash;
-  delivered_ = s.delivered;
-  duplicates_dropped_ = s.duplicates_dropped;
-  stale_epoch_dropped_ = s.stale_epoch_dropped;
-  gaps_detected_ = s.gaps_detected;
-  nacks_sent_ = s.nacks_sent;
-  crash_detections_ = s.crash_detections;
-  resyncs_sent_ = s.resyncs_sent;
+  DWRS_CHECK_EQ(s.peers.size(), state_.peers.size());
+  state_ = s;
 }
 
 bool CoordinatorSession::AllGapsResolved() const {
-  for (const PeerState& peer : peers_) {
+  for (const PeerState& peer : state_.peers) {
     if (peer.max_seen_seq >= peer.expected_seq) return false;
   }
   return true;
@@ -429,7 +373,7 @@ bool CoordinatorSession::AllGapsResolved() const {
 
 uint32_t CoordinatorSession::MaxSiteEpoch() const {
   uint32_t max_epoch = 0;
-  for (const PeerState& peer : peers_) {
+  for (const PeerState& peer : state_.peers) {
     if (peer.epoch > max_epoch) max_epoch = peer.epoch;
   }
   return max_epoch;

@@ -75,7 +75,7 @@ class SiteSession : public sim::SiteNode, public sim::Transport {
   sim::SiteHotPathCounters HotPathCounters() const override {
     // Counters of dead incarnations (folded in by Crash()) plus the
     // live endpoint's, so crash-restarts never shrink the totals.
-    sim::SiteHotPathCounters total = pre_crash_counters_;
+    sim::SiteHotPathCounters total = state_.pre_crash_counters;
     if (endpoint_) total += endpoint_->HotPathCounters();
     return total;
   }
@@ -91,36 +91,47 @@ class SiteSession : public sim::SiteNode, public sim::Transport {
   // quiesce points only.
   void RetransmitAllUnacked();
 
-  bool retransmit_pending() const { return retransmit_pending_; }
+  bool retransmit_pending() const { return state_.retransmit_pending; }
 
   // --- introspection ---------------------------------------------------
-  uint32_t epoch() const { return epoch_; }
-  bool down() const { return down_; }
-  size_t unacked_size() const { return unacked_.size(); }
-  uint64_t crashes() const { return crashes_; }
+  uint32_t epoch() const { return state_.epoch; }
+  bool down() const { return state_.down; }
+  size_t unacked_size() const { return state_.unacked.size(); }
+  uint64_t crashes() const { return state_.crashes; }
   // Ground truth for "data irrecoverably lost": stamped messages that
   // were neither acked nor retransmittable when a crash wiped the buffer.
-  uint64_t lost_unacked() const { return lost_unacked_; }
+  uint64_t lost_unacked() const { return state_.lost_unacked; }
   // Items that arrived while the site was down (never sampled).
-  uint64_t items_lost() const { return items_lost_; }
-  uint64_t messages_dropped_down() const { return messages_dropped_down_; }
+  uint64_t items_lost() const { return state_.items_lost; }
+  uint64_t messages_dropped_down() const {
+    return state_.messages_dropped_down;
+  }
   // Go-back-N replay traffic: messages re-sent from the unacked buffer
   // (nack-triggered deferred replays plus reconcile-round retransmits).
-  uint64_t retransmits_sent() const { return retransmits_sent_; }
+  uint64_t retransmits_sent() const { return state_.retransmits_sent; }
 
   // Shard label stamped on this session's flight-recorder events
   // (sharded harness wiring; 0 for unsharded runs).
   void set_trace_shard(int shard) { trace_shard_ = shard; }
 
   // --- durable-checkpoint surface (src/durability/) --------------------
-  // Everything volatile the session owns: the reliability stamps, the
-  // unacked retransmit buffer, the crash/down bookkeeping and the
-  // counters. The endpoint's own protocol state is saved separately by
-  // the durability layer through endpoint().
+  // Everything volatile the session owns, stored only here: the
+  // reliability stamps, the unacked retransmit buffer, the crash/down
+  // bookkeeping and the counters. The endpoint's own protocol state is
+  // saved separately by the durability layer through endpoint().
   struct State {
     uint32_t epoch = 0;
     uint32_t next_seq = 1;
-    std::vector<sim::Payload> unacked;
+    std::deque<sim::Payload> unacked;  // stamped, seq-ascending
+    // Go-back-N replay from retransmit_from, requested by a nack.
+    // Deferred to the site's next OnItem rather than performed inline: an
+    // inline replay can race — a single coordinator broadcast may release
+    // withheld nacks to several sites, whose worker threads would then
+    // push replay bursts into the MPSC coordinator inbox concurrently,
+    // making the interleaving (and so the transcript) timing-dependent on
+    // the engine backend. Deferral keeps exactly one upstream producer
+    // per step on both backends, which is what makes a fault seed replay
+    // bit-identically.
     bool retransmit_pending = false;
     uint32_t retransmit_from = 0;
     uint64_t items_seen = 0;
@@ -131,9 +142,12 @@ class SiteSession : public sim::SiteNode, public sim::Transport {
     uint64_t items_lost = 0;
     uint64_t messages_dropped_down = 0;
     uint64_t retransmits_sent = 0;
+    // Hot-path counters of endpoints destroyed by crashes.
     sim::SiteHotPathCounters pre_crash_counters;
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State SaveState() const;
+  const State& SaveState() const { return state_; }
   // Restores the session and rebuilds the endpoint at the saved epoch
   // (no endpoint while down). Sends nothing — unlike Restart(), the
   // restored incarnation already introduced itself in the original
@@ -153,33 +167,8 @@ class SiteSession : public sim::SiteNode, public sim::Transport {
   const FaultSchedule* const schedule_;
   EndpointFactory factory_;
   std::unique_ptr<sim::SiteNode> endpoint_;
-
-  uint32_t epoch_ = 0;
-  uint32_t next_seq_ = 1;
-  std::deque<sim::Payload> unacked_;  // stamped, seq-ascending
-  // Go-back-N replay requested by a nack. Deferred to the site's next
-  // OnItem rather than performed inline: an inline replay can race — a
-  // single coordinator broadcast may release withheld nacks to several
-  // sites, whose worker threads would then push replay bursts into the
-  // MPSC coordinator inbox concurrently, making the interleaving (and so
-  // the transcript) timing-dependent on the engine backend. Deferral
-  // keeps exactly one upstream producer per step on both backends, which
-  // is what makes a fault seed replay bit-identically.
-  bool retransmit_pending_ = false;
-  uint32_t retransmit_from_ = 0;
-
-  uint64_t items_seen_ = 0;
-  bool down_ = false;
-  uint64_t down_remaining_ = 0;
-
-  uint64_t crashes_ = 0;
-  uint64_t lost_unacked_ = 0;
-  uint64_t items_lost_ = 0;
-  uint64_t messages_dropped_down_ = 0;
-  uint64_t retransmits_sent_ = 0;
+  State state_;
   int trace_shard_ = 0;
-  // Hot-path counters of endpoints destroyed by crashes.
-  sim::SiteHotPathCounters pre_crash_counters_;
 };
 
 // The coordinator half. Delivers upstream messages to the inner endpoint
@@ -217,15 +206,15 @@ class CoordinatorSession : public sim::CoordinatorNode {
   // FNV-1a fold of every in-order delivered message (site, stamps and
   // payload bits included): the replayable transcript. Two runs are
   // bit-identical iff hash and count agree.
-  uint64_t transcript_hash() const { return transcript_hash_; }
-  uint64_t delivered() const { return delivered_; }
+  uint64_t transcript_hash() const { return state_.transcript_hash; }
+  uint64_t delivered() const { return state_.delivered; }
 
-  uint64_t duplicates_dropped() const { return duplicates_dropped_; }
-  uint64_t stale_epoch_dropped() const { return stale_epoch_dropped_; }
-  uint64_t gaps_detected() const { return gaps_detected_; }
-  uint64_t nacks_sent() const { return nacks_sent_; }
-  uint64_t crash_detections() const { return crash_detections_; }
-  uint64_t resyncs_sent() const { return resyncs_sent_; }
+  uint64_t duplicates_dropped() const { return state_.duplicates_dropped; }
+  uint64_t stale_epoch_dropped() const { return state_.stale_epoch_dropped; }
+  uint64_t gaps_detected() const { return state_.gaps_detected; }
+  uint64_t nacks_sent() const { return state_.nacks_sent; }
+  uint64_t crash_detections() const { return state_.crash_detections; }
+  uint64_t resyncs_sent() const { return state_.resyncs_sent; }
 
   // Shard label for this session's flight-recorder events.
   void set_trace_shard(int shard) { trace_shard_ = shard; }
@@ -246,16 +235,18 @@ class CoordinatorSession : public sim::CoordinatorNode {
     // an unfilled gap.
     uint32_t max_seen_seq = 0;
     uint32_t last_nacked_expected = 0;
+
+    friend bool operator==(const PeerState&, const PeerState&) = default;
   };
 
   // --- durable-checkpoint surface (src/durability/) --------------------
-  // The per-peer reliability state plus the transcript fold and counters;
-  // with these restored at a checkpoint, re-feeding the stream from there
-  // reproduces the exact delivered prefix and counter evolution of the
-  // original run.
+  // The per-peer reliability state plus the transcript fold and counters,
+  // stored only here; with these restored at a checkpoint, re-feeding the
+  // stream from there reproduces the exact delivered prefix and counter
+  // evolution of the original run.
   struct State {
     std::vector<PeerState> peers;
-    uint64_t transcript_hash = 0;
+    uint64_t transcript_hash = 1469598103934665603ull;  // FNV offset basis
     uint64_t delivered = 0;
     uint64_t duplicates_dropped = 0;
     uint64_t stale_epoch_dropped = 0;
@@ -263,8 +254,11 @@ class CoordinatorSession : public sim::CoordinatorNode {
     uint64_t nacks_sent = 0;
     uint64_t crash_detections = 0;
     uint64_t resyncs_sent = 0;
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State SaveState() const;
+  const State& SaveState() const { return state_; }
+  // Requires the saved state to cover this session's number of sites.
   void RestoreState(const State& s);
 
  private:
@@ -274,16 +268,7 @@ class CoordinatorSession : public sim::CoordinatorNode {
   sim::CoordinatorNode* const inner_;
   sim::Transport* const lower_;
   ResyncProvider resync_;
-  std::vector<PeerState> peers_;
-
-  uint64_t transcript_hash_ = 1469598103934665603ull;  // FNV offset basis
-  uint64_t delivered_ = 0;
-  uint64_t duplicates_dropped_ = 0;
-  uint64_t stale_epoch_dropped_ = 0;
-  uint64_t gaps_detected_ = 0;
-  uint64_t nacks_sent_ = 0;
-  uint64_t crash_detections_ = 0;
-  uint64_t resyncs_sent_ = 0;
+  State state_;
   int trace_shard_ = 0;
 };
 

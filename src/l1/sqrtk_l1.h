@@ -67,8 +67,6 @@ class SqrtkL1Coordinator : public sim::CoordinatorNode {
   // Sum of last reports plus the expected-drift correction.
   double Estimate() const;
 
-  double current_q() const { return q_; }
-
  private:
   void MaybeAdvancePhase();
 

@@ -28,13 +28,11 @@ class TracingTransport : public sim::Transport {
   void Broadcast(const sim::Payload& msg) override;
   uint64_t step() const override { return inner_->step(); }
 
-  void set_shard(int shard) { shard_ = shard; }
-
  private:
   void Record(int site, uint8_t dir, const sim::Payload& msg);
 
   sim::Transport* const inner_;
-  int shard_;
+  const int shard_;
 };
 
 }  // namespace dwrs::obs

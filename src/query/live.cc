@@ -7,7 +7,6 @@ namespace dwrs::query {
 
 LiveShardPublishers::LiveShardPublishers(int num_shards, int ring_depth) {
   DWRS_CHECK_GT(num_shards, 0);
-  DWRS_CHECK_GT(ring_depth, 0);
   publishers_.reserve(static_cast<size_t>(num_shards));
   for (int j = 0; j < num_shards; ++j) {
     publishers_.push_back(std::make_unique<SnapshotPublisher>(ring_depth));

@@ -8,8 +8,9 @@
 
 namespace dwrs::query {
 
-SnapshotPublisher::SnapshotPublisher(int ring_depth)
-    : ring_(static_cast<size_t>(ring_depth > 0 ? ring_depth : 1)) {
+SnapshotPublisher::SnapshotPublisher(int ring_depth) {
+  DWRS_CHECK_GT(ring_depth, 0);
+  ring_ = std::vector<std::atomic<Node*>>(static_cast<size_t>(ring_depth));
   for (auto& slot : ring_) slot.store(nullptr, std::memory_order_relaxed);
   ring_mirror_.assign(ring_.size(), nullptr);
   // Seed a few nodes; AcquireFreeNode grows the pool on demand, so a

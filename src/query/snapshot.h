@@ -104,8 +104,8 @@ struct ShardSnapshot {
 
 class SnapshotPublisher {
  public:
-  // ring_depth = R: how many published snapshots stay readable for
-  // ReadAsOf. 1 degenerates to the PR 5 latest-only cell.
+  // ring_depth = R > 0 (checked): how many published snapshots stay
+  // readable for ReadAsOf. 1 degenerates to a latest-only cell.
   explicit SnapshotPublisher(int ring_depth = 1);
   ~SnapshotPublisher();
 

@@ -52,48 +52,50 @@ class GeometricSkipFilter {
   // accepts (the pre-first-epoch state where every key qualifies). After
   // an accepting call, value() is the conditioned Exp(1) variate.
   bool Admit(Rng& rng, double hazard) {
-    ++decisions_;
+    ++state_.decisions;
     if (!(hazard > 0.0)) {  // p = 0 (also absorbs NaN defensively)
-      ++skips_taken_;
+      ++state_.skips_taken;
       return false;
     }
-    if (!has_pending_) {
-      pending_ = Exp1(rng);
-      has_pending_ = true;
+    if (!state_.has_pending) {
+      state_.pending = Exp1(rng);
+      state_.has_pending = true;
     }
-    if (pending_ < hazard) {
-      value_ = pending_;
-      if (value_ <= 0.0) value_ = MinValue(hazard);
-      has_pending_ = false;
-      ++accepts_;
+    if (state_.pending < hazard) {
+      state_.value = state_.pending;
+      if (state_.value <= 0.0) state_.value = MinValue(hazard);
+      state_.has_pending = false;
+      ++state_.accepts;
       return true;
     }
-    ++skips_taken_;
-    pending_ -= hazard;  // memoryless residual: still Exp(1)
+    ++state_.skips_taken;
+    state_.pending -= hazard;  // memoryless residual: still Exp(1)
     // A residual of exactly 0 (measure-zero floating-point tie) would
     // otherwise accept the next item with t = 0 and an infinite key.
-    if (pending_ <= 0.0) has_pending_ = false;
+    if (state_.pending <= 0.0) state_.has_pending = false;
     return false;
   }
 
   // The Exp(1) variate conditioned below the accepted hazard; valid only
   // after an Admit that returned true, until the next Admit.
-  double value() const { return value_; }
+  double value() const { return state_.value; }
 
   // --- instrumentation (Proposition 7 accounting) ----------------------
   // Admit calls; = items that went through the threshold filter.
-  uint64_t decisions() const { return decisions_; }
-  uint64_t accepts() const { return accepts_; }
+  uint64_t decisions() const { return state_.decisions; }
+  uint64_t accepts() const { return state_.accepts; }
   // Rejections absorbed into the residual budget at zero RNG cost.
-  uint64_t skips_taken() const { return skips_taken_; }
+  uint64_t skips_taken() const { return state_.skips_taken; }
   // Fresh exponentials drawn; each consumes one 64-bit RNG word, so the
   // amortized random bits per decision is 64 * draws / decisions.
-  uint64_t draws() const { return draws_; }
-  uint64_t bits_consumed() const { return draws_ * 64; }
+  uint64_t draws() const { return state_.draws; }
+  uint64_t bits_consumed() const { return state_.draws * 64; }
 
-  // Durable-checkpoint surface: the residual skip budget is part of a
-  // site's sampling state — restoring it (together with the RNG state)
-  // resumes the walk with bit-identical decisions (src/durability/).
+  // Durable-checkpoint surface: the filter's whole state — the residual
+  // skip budget, the last accepted variate and the counters — is stored
+  // only here. It is part of a site's sampling state: restoring it
+  // (together with the RNG state) resumes the walk with bit-identical
+  // decisions (src/durability/).
   struct State {
     bool has_pending = false;
     double pending = 0.0;
@@ -102,24 +104,15 @@ class GeometricSkipFilter {
     uint64_t accepts = 0;
     uint64_t skips_taken = 0;
     uint64_t draws = 0;
+
+    friend bool operator==(const State&, const State&) = default;
   };
-  State SaveState() const {
-    return State{has_pending_, pending_, value_, decisions_,
-                 accepts_,     skips_taken_, draws_};
-  }
-  void RestoreState(const State& s) {
-    has_pending_ = s.has_pending;
-    pending_ = s.pending;
-    value_ = s.value;
-    decisions_ = s.decisions;
-    accepts_ = s.accepts;
-    skips_taken_ = s.skips_taken;
-    draws_ = s.draws;
-  }
+  const State& SaveState() const { return state_; }
+  void RestoreState(const State& s) { state_ = s; }
 
  private:
   double Exp1(Rng& rng) {
-    ++draws_;
+    ++state_.draws;
     return -std::log(rng.NextDoubleOpenLeft());
   }
   // Floor for a degenerate accepted variate (the uniform landed exactly
@@ -131,13 +124,7 @@ class GeometricSkipFilter {
     return std::min(kResolutionFloor, 0.5 * hazard);
   }
 
-  bool has_pending_ = false;
-  double pending_ = 0.0;
-  double value_ = 0.0;
-  uint64_t decisions_ = 0;
-  uint64_t accepts_ = 0;
-  uint64_t skips_taken_ = 0;
-  uint64_t draws_ = 0;
+  State state_;
 };
 
 }  // namespace dwrs

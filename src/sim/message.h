@@ -30,6 +30,8 @@ struct Payload {
   // under the fault model.
   uint32_t seq = 0;
   uint32_t epoch = 0;
+
+  friend bool operator==(const Payload&, const Payload&) = default;
 };
 
 // Aggregate traffic counters. A broadcast is accounted as k coordinator->

@@ -69,6 +69,8 @@ struct SiteHotPathCounters {
     skips_taken += o.skips_taken;
     return *this;
   }
+  friend bool operator==(const SiteHotPathCounters&,
+                         const SiteHotPathCounters&) = default;
 };
 
 // A protocol endpoint running at a site. Implementations receive their

@@ -85,8 +85,6 @@ class UsworCoordinator : public sim::CoordinatorNode {
   // Current unweighted SWOR (size min(t, s)).
   std::vector<Item> Sample() const;
 
-  double announced_tau() const { return tau_hat_; }
-
   // Resync state for a restarted site: the current threshold (if any was
   // announced). Monotone (thresholds only shrink), so safe to replay.
   std::vector<sim::Payload> ResyncMessages() const;

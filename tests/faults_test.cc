@@ -402,6 +402,162 @@ TEST(SiteSessionTest, CrashWipesStateAndRestartBumpsEpoch) {
 }
 
 // ---------------------------------------------------------------------
+// Restore-and-continue: a session restored from SaveState() into a fresh
+// object behaves exactly as the original from there on — same sends,
+// same deliveries, same final State.
+
+std::unique_ptr<sim::SiteNode> MakeEchoSite(sim::Transport* upper,
+                                            uint32_t /*epoch*/) {
+  return std::make_unique<EchoSite>(0, upper);
+}
+
+TEST(SessionRestoreTest, SiteSessionResumesAPendingNackReplay) {
+  RecordingTransport lower_a;
+  RecordingTransport lower_b;
+  const FaultSchedule schedule(FaultConfig{});
+  SiteSession original(0, &lower_a, &schedule, MakeEchoSite);
+  for (uint64_t i = 0; i < 4; ++i) original.OnItem(Item{i, 1.0});
+  original.OnMessage(Stamped(kSessionAck, 0, 0, /*a=*/1));
+  original.OnMessage(Stamped(kSessionNack, 0, 0, /*a=*/3));
+  original.OnMessage(Stamped(kSessionNack, 0, 0, /*a=*/2));
+  ASSERT_TRUE(original.retransmit_pending());
+
+  SiteSession restored(0, &lower_b, &schedule, MakeEchoSite);
+  restored.RestoreState(original.SaveState());
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+  EXPECT_TRUE(lower_b.up.empty());  // restoring sends nothing
+  lower_a.up.clear();
+
+  const auto both = [&](const auto& step) {
+    step(original);
+    step(restored);
+  };
+  const Item span[] = {{4, 1.0}, {5, 2.0}, {6, 3.0}};
+  both([&](SiteSession& s) { s.OnItems(span, 3); });
+  both([](SiteSession& s) { s.OnMessage(Stamped(kSessionAck, 0, 0, 5)); });
+  both([](SiteSession& s) { s.OnMessage(Stamped(kSessionNack, 0, 0, 6)); });
+  both([](SiteSession& s) { s.OnItem(Item{7, 1.0}); });
+  both([](SiteSession& s) { s.RetransmitAllUnacked(); });
+  both([](SiteSession& s) { s.OnMessage(Stamped(kSessionAck, 0, 0, 7)); });
+
+  // The replay the nack asked for before the save (seqs 2-4) leads.
+  ASSERT_GE(lower_b.up.size(), 3u);
+  EXPECT_EQ(lower_b.up[0].second.seq, 2u);
+  EXPECT_EQ(lower_b.up[2].second.seq, 4u);
+  EXPECT_EQ(lower_b.up, lower_a.up);
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+  EXPECT_EQ(restored.unacked_size(), 1u);
+}
+
+TEST(SessionRestoreTest, SiteSessionResumesInsideACrashDownWindow) {
+  RecordingTransport lower_a;
+  RecordingTransport lower_b;
+  FaultConfig config;
+  config.seed = 5;
+  config.crash_prob = 0.2;
+  config.crash_down_items = 3;
+  const FaultSchedule schedule(config);
+  SiteSession original(0, &lower_a, &schedule, MakeEchoSite);
+  uint64_t id = 0;
+  while (!original.down()) {
+    ASSERT_LT(id, 1000u) << " no crash scheduled";
+    original.OnItem(Item{id++, 1.0});
+  }
+  const uint32_t saved_epoch = original.epoch();
+
+  SiteSession restored(0, &lower_b, &schedule, MakeEchoSite);
+  restored.RestoreState(original.SaveState());
+  EXPECT_TRUE(restored.down());
+  EXPECT_EQ(restored.endpoint(), nullptr);  // no endpoint while down
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+  lower_a.up.clear();
+
+  const auto both = [&](const auto& step) {
+    step(original);
+    step(restored);
+  };
+  // Mail for the dead process, then the rest of the window, the restart's
+  // hello, and live traffic acked at whatever epoch the site is in.
+  both([](SiteSession& s) { s.OnMessage(Stamped(4, 1, 0)); });
+  for (int i = 0; i < 60; ++i, ++id) {
+    both([&](SiteSession& s) { s.OnItem(Item{id, 1.0}); });
+    if (i % 5 == 4) {
+      both([&](SiteSession& s) {
+        s.OnMessage(Stamped(kSessionAck, 0, s.epoch(), /*a=*/2));
+      });
+    }
+  }
+
+  EXPECT_GT(restored.epoch(), saved_epoch);
+  ASSERT_FALSE(lower_b.up.empty());
+  EXPECT_EQ(lower_b.up[0].second.type, static_cast<uint32_t>(kSessionHello));
+  EXPECT_EQ(lower_b.up[0].second.epoch, saved_epoch + 1);
+  EXPECT_EQ(lower_b.up, lower_a.up);
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+}
+
+TEST(SessionRestoreTest, CoordinatorSessionResumesWithAnOpenGap) {
+  RecordingTransport lower_a;
+  RecordingTransport lower_b;
+  RecordingCoordinator inner_a;
+  RecordingCoordinator inner_b;
+  const auto resync = [] {
+    sim::Payload threshold;
+    threshold.type = 4;
+    threshold.x = 8.0;
+    return std::vector<sim::Payload>{threshold};
+  };
+  CoordinatorSession original(2, &inner_a, &lower_a, resync);
+  original.OnMessage(0, Stamped(7, 1, 0, 100));
+  original.OnMessage(0, Stamped(7, 3, 0, 102));  // 2 missing: nacked
+  original.OnMessage(1, Stamped(7, 1, 0, 200));
+  original.OnMessage(1, Stamped(7, 2, 0, 201));
+  ASSERT_FALSE(original.AllGapsResolved());
+
+  CoordinatorSession restored(2, &inner_b, &lower_b, resync);
+  restored.RestoreState(original.SaveState());
+  EXPECT_FALSE(restored.AllGapsResolved());
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+  EXPECT_TRUE(lower_b.down.empty());  // restoring sends nothing
+  inner_a.delivered.clear();
+  lower_a.down.clear();
+
+  const auto both = [&](int site, const sim::Payload& msg) {
+    original.OnMessage(site, msg);
+    restored.OnMessage(site, msg);
+  };
+  both(0, Stamped(7, 4, 0, 103));  // the gap is already nacked
+  both(0, Stamped(7, 2, 0, 101));  // go-back-N fills it
+  both(0, Stamped(7, 3, 0, 102));
+  both(0, Stamped(7, 4, 0, 103));
+  both(0, Stamped(7, 3, 0, 102));  // duplicate: re-acked
+  both(1, Stamped(kSessionHello, 1, 1));  // restart: resynced
+  both(1, Stamped(7, 3, 0, 202));         // stale epoch: dropped
+  both(1, Stamped(7, 3, 1, 301));         // new gap: nacked
+  both(1, Stamped(7, 2, 1, 300));
+  both(1, Stamped(7, 3, 1, 301));
+
+  for (const auto& [site, msg] : lower_b.down) {
+    EXPECT_FALSE(site == 0 && msg.type == kSessionNack)
+        << " the gap nacked before the save was nacked again";
+  }
+  EXPECT_EQ(inner_b.delivered.size(), 5u);
+  EXPECT_EQ(inner_b.delivered, inner_a.delivered);
+  EXPECT_EQ(lower_b.down, lower_a.down);
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+  EXPECT_TRUE(restored.AllGapsResolved());
+  EXPECT_EQ(restored.resyncs_sent(), 1u);
+}
+
+TEST(SessionRestoreDeathTest, CoordinatorSessionRejectsAnotherPeerCount) {
+  RecordingTransport lower;
+  RecordingCoordinator inner;
+  const CoordinatorSession two(2, &inner, &lower, nullptr);
+  CoordinatorSession three(3, &inner, &lower, nullptr);
+  EXPECT_DEATH(three.RestoreState(two.SaveState()), "peers");
+}
+
+// ---------------------------------------------------------------------
 // Seed-sweep determinism + cross-backend bit-identity.
 
 Workload SmallWeighted(const std::vector<double>& weights, int sites,

@@ -341,6 +341,13 @@ TEST(SnapshotRingTest, DefaultDepthDegeneratesToLatestOnly) {
   EXPECT_FALSE(publisher.ReadAsOf(8, &snap));
 }
 
+// A ring with no slot could never serve a read: the publisher refuses
+// such a depth instead of silently deepening it to one.
+TEST(SnapshotPublisherDeathTest, RejectsNonPositiveRingDepth) {
+  EXPECT_DEATH(SnapshotPublisher(0), "ring_depth");
+  EXPECT_DEATH(SnapshotPublisher(-3), "ring_depth");
+}
+
 TEST(SnapshotRingTest, DegradedPublishesKeepVersionsNondecreasing) {
   // Stale publishes freeze at the last clean version, so the ring can
   // hold duplicate versions; ReadAsOf must pick the newest publish.

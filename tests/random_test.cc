@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -537,6 +539,43 @@ TEST(GeometricSkipTest, SkipsConsumeNoRandomness) {
   EXPECT_LE(filter.draws(), filter.accepts() + 1);
   EXPECT_EQ(filter.bits_consumed(), filter.draws() * 64);
   EXPECT_GT(filter.skips_taken(), decisions * 99 / 100);
+}
+
+// A checkpoint taken while a skip budget is pending resumes the walk: a
+// fresh filter restored from SaveState(), on a generator restored from
+// the same words, makes the same decisions with the same values.
+TEST(GeometricSkipTest, RestoreFromSaveStateContinuesThePendingBudget) {
+  Rng rng(67);
+  GeometricSkipFilter original;
+  // Small hazards: one draw outlives many rejections.
+  for (int i = 0; i < 200 || !original.SaveState().has_pending; ++i) {
+    original.Admit(rng, 0.05);
+  }
+  ASSERT_GT(original.accepts(), 0u);
+
+  GeometricSkipFilter restored;
+  restored.RestoreState(original.SaveState());
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
+  uint64_t words[4];
+  rng.SaveState(words);
+  Rng restored_rng(0);
+  restored_rng.RestoreState(words);
+
+  // Mixed hazards, free rejections and a certain accept included.
+  const double hazards[] = {0.05, 0.0, 1.5, 0.3, -1.0,
+                            std::numeric_limits<double>::infinity(), 0.02};
+  uint64_t accepts = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const double hazard = hazards[i % 7];
+    const bool admitted = original.Admit(rng, hazard);
+    ASSERT_EQ(restored.Admit(restored_rng, hazard), admitted) << i;
+    if (admitted) {
+      ++accepts;
+      ASSERT_EQ(restored.value(), original.value()) << i;
+    }
+  }
+  EXPECT_GT(accepts, 0u);
+  EXPECT_EQ(restored.SaveState(), original.SaveState());
 }
 
 TEST(GeometricSkipTest, DegenerateHazards) {

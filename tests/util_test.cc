@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "bench_util.h"
@@ -231,6 +232,44 @@ TEST(JsonBenchTest, WriteEmitsWellFormedJsonUnderHostileValues) {
     EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n') << (int)c;
   }
   std::remove(path.c_str());
+}
+
+// Every BENCH_*.json names the machine that produced it, after the
+// bench's own params, so rows recorded on different hardware can be
+// told apart.
+TEST(JsonBenchTest, WriteRecordsTheMachine) {
+  bench::JsonBench out("util_test_machine");
+  out.Param("workload", "zipf");
+  out.StartRow().Field("messages", uint64_t{1});
+  const std::string path = out.Write();
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  std::remove(path.c_str());
+
+  const std::string nproc =
+      "\"nproc\": " + std::to_string(bench::UsableCpus());
+  const std::string cpu_model =
+      "\"cpu_model\": " + bench::JsonQuote(bench::CpuModel());
+  const std::string compiler =
+      "\"compiler\": " + bench::JsonQuote(__VERSION__);
+  const std::string build_type =
+      "\"build_type\": " + bench::JsonQuote(DWRS_BUILD_TYPE);
+  size_t last = json.find("\"workload\": \"zipf\"");
+  ASSERT_NE(last, std::string::npos) << json;
+  for (const std::string& param : {nproc, cpu_model, compiler, build_type}) {
+    const size_t at = json.find(param);
+    ASSERT_NE(at, std::string::npos) << param << " missing from " << json;
+    EXPECT_GT(at, last) << param;
+    last = at;
+  }
+  EXPECT_LT(last, json.find("\"rows\"")) << json;
+  EXPECT_GE(bench::UsableCpus(), 1u);
+  EXPECT_LE(bench::UsableCpus(), std::thread::hardware_concurrency());
+  EXPECT_FALSE(bench::CpuModel().empty());
+  // CMakeLists.txt passes CMAKE_BUILD_TYPE in.
+  EXPECT_STRNE(DWRS_BUILD_TYPE, "unknown");
 }
 
 }  // namespace
